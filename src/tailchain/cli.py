@@ -1,11 +1,11 @@
 """Command-line surface: configuration, orchestration, bit-stable output.
 
 Every run is fully determined by (config, seed): CSV outputs are
-byte-identical across repeated runs, floats print with 17 significant
-digits, and replicate-level parallelism never changes results (worker
-threads only split fixed chunks).  Exit codes: 0 success, 2 configuration
-or parameter problems, 3 numerical failures (with a diagnostic JSON on
-stderr).
+byte-identical across repeated runs and floats print with 17 significant
+digits.  `validate` maps the chain family to its tail-chain kind and builds
+the limit with the same constructor as `simulate-tail-chain`.  Exit codes:
+0 success, 2 configuration or parameter problems, 3 numerical failures
+(with a diagnostic JSON on stderr).
 """
 import argparse
 import csv
@@ -161,21 +161,16 @@ def _tail_model(cfg):
                       "(regime-switching runs via its own flag set)")
 
 
-_TAIL_FOR_FAMILY = {
-    "gaussian": lambda cfg: GaussianARTailChain(np.asarray(_floats(cfg.get("rho"), "rho"))),
-    "logistic": lambda cfg: LogisticLocationTailChain(float(cfg.get("alpha", 0.5)),
-                                                      int(cfg.get("k", 1))),
-    "inverted-logistic": lambda cfg: InvertedLogisticScaleTailChain(
-        float(cfg.get("alpha", 0.5)), int(cfg.get("k", 1))),
-    "husler-reiss": lambda cfg: HuslerReissLocationTailChain(
-        toeplitz(np.asarray(_floats(cfg.get("cov_toeplitz"), "cov_toeplitz")))),
-}
+# tail-chain kind of each chain family whose limit is a hidden tail chain
+_TAIL_KIND = {"gaussian": "gaussian-ar", "logistic": "logistic-rw",
+              "inverted-logistic": "inverted-logistic-scale",
+              "husler-reiss": "husler-reiss-rw"}
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
-def _run_solve_recurrence(cfg, out, seed, threads):
+def _run_solve_recurrence(cfg, out, seed):
     gamma = _floats(cfg.get("gamma"), "gamma")
     if not gamma:
         raise ConfigError("gamma is required")
@@ -217,7 +212,7 @@ def _run_solve_recurrence(cfg, out, seed, threads):
     return {"rows": int(T + 1)}
 
 
-def _run_beta_seq(cfg, out, seed, threads):
+def _run_beta_seq(cfg, out, seed):
     beta = float(cfg.get("beta", 0.5))
     k = int(cfg.get("k", 1))
     T = int(cfg.get("horizon", 50))
@@ -227,17 +222,17 @@ def _run_beta_seq(cfg, out, seed, threads):
     return {"rows": int(T + 1)}
 
 
-def _run_simulate_chain(cfg, out, seed, threads):
+def _run_simulate_chain(cfg, out, seed):
     model = _chain_model(cfg)
     u = float(cfg.get("u", 9.0))
     T = int(cfg.get("horizon", max(2 * model.k, 10)))
     n = int(cfg.get("n_rep", 100))
-    ens = simulate_conditioned_chain(model, u, T, n, seed, threads=threads)
+    ens = simulate_conditioned_chain(model, u, T, n, seed)
     _write_paths_csv(os.path.join(out, "chain_paths.csv"), ens)
     return {"model": model.descriptor(), "u": u, "n_rep": n, "horizon": T}
 
 
-def _run_simulate_tail_chain(cfg, out, seed, threads):
+def _run_simulate_tail_chain(cfg, out, seed):
     kind = str(cfg.get("kind", "")).replace("_", "-")
     T = int(cfg.get("horizon", 50))
     n = int(cfg.get("n_rep", 10_000))
@@ -252,29 +247,32 @@ def _run_simulate_tail_chain(cfg, out, seed, threads):
     return {"model": ens.model, "n_rep": n, "horizon": T}
 
 
-def _run_validate(cfg, out, seed, threads):
+def _run_validate(cfg, out, seed):
     model = _chain_model(cfg)
     family = str(cfg.get("family")).replace("_", "-")
-    tail = _TAIL_FOR_FAMILY[family](cfg)
+    if family not in _TAIL_KIND:
+        raise ConfigError(f"validate has no tail chain for family {family!r}; "
+                          f"supported: {', '.join(_TAIL_KIND)}")
+    tail = _tail_model({**cfg, "kind": _TAIL_KIND[family]})
     u_grid = _floats(cfg.get("u_grid", [3.0, 6.0, 9.0]), "u_grid")
     lags = cfg.get("lags")
     lags = tuple(int(v) for v in _floats(lags, "lags")) if lags is not None else None
     n = int(cfg.get("n_rep", 10_000))
     tol = float(cfg.get("tolerance", 0.05))
     rep = convergence_diagnostic(model, tail, u_grid=tuple(u_grid), lags=lags,
-                                 n=n, seed=seed, tolerance=tol, threads=threads)
+                                 n=n, seed=seed, tolerance=tol)
     with open(os.path.join(out, "convergence_report.json"), "w") as fh:
         json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
     return {"final_pass": rep.final_pass.astype(bool).tolist(),
             "runtime_s": rep.runtime_s}
 
 
-def _run_chi(cfg, out, seed, threads):
+def _run_chi(cfg, out, seed):
     model = _chain_model(cfg)
     lags = tuple(int(v) for v in _floats(cfg.get("lags", [1]), "lags"))
     levels = _floats(cfg.get("levels", [0.95]), "levels")
     n = int(cfg.get("n_rep", 100_000))
-    results = [chi_estimate(model, lags, lv, n, seed, threads=threads).to_dict()
+    results = [chi_estimate(model, lags, lv, n, seed).to_dict()
                for lv in levels]
     with open(os.path.join(out, "chi.json"), "w") as fh:
         json.dump({"model": model.descriptor(), "estimates": results},
@@ -282,7 +280,7 @@ def _run_chi(cfg, out, seed, threads):
     return {"estimates": results}
 
 
-def _run_fig1(cfg, out, seed, threads):
+def _run_fig1(cfg, out, seed):
     panel = str(cfg.get("panel", "a")).lower()
     T = int(cfg.get("horizon", 50))
     n = int(cfg.get("n_rep", 10_000))
@@ -303,7 +301,7 @@ def _run_fig1(cfg, out, seed, threads):
     return {"panel": panel, "model": ens.model, "n_rep": n}
 
 
-def _run_fig2(cfg, out, seed, threads):
+def _run_fig2(cfg, out, seed):
     T = int(cfg.get("horizon", 200))
     n = int(cfg.get("n_rep", 10_000))
     cond = int(cfg.get("condition_tb", 8))
@@ -356,9 +354,6 @@ def build_parser():
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("TAILCHAIN_THREADS", "1")),
-                   help="worker threads (default TAILCHAIN_THREADS or 1)")
     sub = p.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
         sp = sub.add_parser(name)
@@ -378,7 +373,7 @@ def main(argv=None):
             if val is not None:
                 cfg[key] = val
         os.makedirs(args.out, exist_ok=True)
-        summary = _RUNNERS[args.command](cfg, args.out, args.seed, args.threads)
+        summary = _RUNNERS[args.command](cfg, args.out, args.seed)
     except (ConfigError, ParameterError, DomainError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

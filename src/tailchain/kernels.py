@@ -5,26 +5,30 @@ Three kernel constructions share one public surface:
 * Gaussian copula driven by a Toeplitz correlation (closed-form conditionals),
 * max-stable copulas built from an exponent measure (conditional CDFs are
   ratios of partition sums of the measure's mixed partials),
-* inverted max-stable copulas (the same partition machinery applied to the
-  survivor function).
+* inverted max-stable copulas (the same partition ratio at the argument map
+  x -> -log x, complemented).
 
-Partition sums run entirely in log space: every partition term is positive
-because mixed partials of valid exponent measures are negative, so the sums
-are cancellation-free.  Sampling is inverse-CDF with a vectorized
-bracketed secant/bisection hybrid; the Gaussian kernel inverts exactly.
+Both max-stable kinds share one slice, `_PartitionSlice`; its denominator is
+the numerator at next state +inf, evaluated exactly.  Partition sums run
+entirely in log space: every partition term is nonnegative because mixed
+partials of valid exponent measures are nonpositive, so the sums are
+cancellation-free, and zero partials are masked rather than multiplied.
+Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
+inverse-CDF with a vectorized bracketed secant/bisection hybrid that fails
+loudly on non-finite CDF values; the Gaussian kernel inverts exactly.
+Chains are simulated serially in fixed chunks with their own RNG streams.
 """
 import functools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .measures import (AsymLogisticMeasure, HuslerReissMeasure, LogisticMeasure)
 from .paths import PathEnsemble
 from .transforms import exp_to_gauss, gauss_to_exp, log_exp_to_frechet
 from .utils import (BracketError, DomainError, NumericalError, ParameterError,
-                    as_batch, replicate_rng)
+                    as_batch, logsumexp, replicate_rng)
 
 MAX_ORDER = 6          # Bell-number growth of the partition sums
 BRACKET_HIGH = 60.0    # exponential margins: P(X > 60) < 1e-26
@@ -84,9 +88,16 @@ class _PartitionScheme:
     def log_sum(self, log_terms):
         """log sum over partitions of prod_{J in p} |V_J|.
 
-        `log_terms` has shape (n_subsets, batch).
+        `log_terms` has shape (n_subsets, batch).  A zero partial (log term
+        -inf) zeroes every partition that uses it; it is masked out of the
+        product rather than multiplied, since 0 * -inf is NaN.
         """
-        return logsumexp(self.incidence @ log_terms, axis=0)
+        zero = np.isneginf(log_terms)
+        if not zero.any():
+            return logsumexp(self.incidence @ log_terms, axis=0)
+        log_parts = self.incidence @ np.where(zero, 0.0, log_terms)
+        log_parts[(self.incidence @ zero) > 0] = -np.inf
+        return logsumexp(log_parts, axis=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +140,8 @@ class _GaussianSlice:
             out[pos] = ndtr((zx - mean[pos]) / self.sd)
         return out
 
-    def quantile(self, prob):
+    def quantile(self, prob, tol=DEFAULT_PROB_TOL):
+        # exact inverse; `tol` is accepted for the common slice interface
         z = self.mean + self.sd * ndtri(np.clip(prob, 1e-300, 1 - 1e-16))
         return gauss_to_exp(z)
 
@@ -184,57 +196,108 @@ class GaussianCopulaModel(MarkovModel):
         return f"gaussian(rho={np.array2string(self.rho, separator=',')})"
 
 
-_LOG_BIG = 60.0  # log-scale sentinel: the next coordinate marginalized out
+class _PartitionSlice:
+    """P(X_k <= x | states) as a log-space ratio of partition sums.
 
-
-class _MaxStableSlice:
-    """P(X_k <= x | states) for a max-stable kernel, log-space partition ratio.
-
-    The denominator (the states' own joint density factor) is the numerator's
-    limit as the next coordinate grows, so it reuses the cached tail
-    evaluators at a large sentinel instead of a separate marginal pass;
-    quadrature bias then largely cancels in the ratio.
+    The denominator is the numerator's limit as the next coordinate goes to
+    +inf, taken exactly with the same cached tail evaluators, so quadrature
+    bias largely cancels in the ratio.  Subclasses supply `_arg`, the map from
+    the exponential scale to the measure's log coordinates, its log Jacobian
+    `_log_jacobian` (or None), and their own `__init__` and `cdf`, which
+    `perfbench/spans.py` instruments class by class.
     """
 
     def __init__(self, measure, states):
-        dim = measure.dim
-        k = dim - 1
-        self.k = k
+        self.k = k = measure.dim - 1
         states, _ = as_batch(states, k)
         self.n = states.shape[0]
         self.state_max = float(states.max())
-        logy = log_exp_to_frechet(states)
-        scheme = _scheme(k)
-        self.scheme = scheme
+        self.scheme = _scheme(k)
+        logy = self._arg(states)
         self.partial_evs = [measure.partial_tail_evaluator(J, logy)
-                            for J in scheme.subsets]
+                            for J in self.scheme.subsets]
         self.value_ev = measure.value_tail_evaluator(logy)
-        big = np.full(self.n, _LOG_BIG)
-        log_den_terms = np.stack([ev(big) for ev in self.partial_evs], axis=0)
-        self.log_den = scheme.log_sum(log_den_terms)
-        self.v_marg = self.value_ev(big)
+        jac = self._log_jacobian(states)
+        self.log_jac = None if jac is None else np.stack(
+            [jac[:, J].sum(axis=1) for J in self.scheme.subsets], axis=0)
+        top = np.full(self.n, np.inf)
+        self.log_den = self._log_num(top, None)
+        self.v_marg = self.value_ev(top)
 
-    def cdf(self, x, rows=None):
+    def _log_jacobian(self, states):
+        return None
+
+    def _log_num(self, logy_k, rows):
+        log_terms = np.stack([ev(logy_k, rows=rows) for ev in self.partial_evs], axis=0)
+        if self.log_jac is not None:
+            log_terms = log_terms + (self.log_jac if rows is None else self.log_jac[:, rows])
+        return self.scheme.log_sum(log_terms)
+
+    def _ratio(self, x, rows):
         x = np.asarray(x, dtype=float)
-        n = self.n if rows is None else len(rows)
-        out = np.zeros(n)
+        out = np.zeros(self.n if rows is None else len(rows))
         pos = x > 0
         if not np.any(pos):
             return out
         sub = np.where(pos)[0]
         rsub = sub if rows is None else np.asarray(rows)[sub]
-        logy_k = log_exp_to_frechet(x[sub])
-        log_terms = np.stack([ev(logy_k, rows=rsub) for ev in self.partial_evs], axis=0)
-        log_num = self.scheme.log_sum(log_terms)
+        logy_k = self._arg(x[sub])
+        log_num = self._log_num(logy_k, rsub)
         v_full = self.value_ev(logy_k, rows=rsub)
-        v_marg = self.v_marg[rsub]
-        log_den = self.log_den[rsub]
-        out[pos] = np.exp(np.minimum(log_num - log_den + (v_marg - v_full), 0.0))
+        ratio = np.exp(np.minimum(
+            log_num - self.log_den[rsub] + (self.v_marg[rsub] - v_full), 0.0))
+        out[pos] = 1.0 - ratio if self.complement else ratio
         return out
+
+    def quantile(self, prob, tol=DEFAULT_PROB_TOL):
+        return _invert_slice(self, prob, tol=tol)
+
+
+class _MaxStableSlice(_PartitionSlice):
+    """Max-stable kernel: the measure at log-Frechet coordinates."""
+
+    complement = False
+
+    def __init__(self, measure, states):
+        super().__init__(measure, states)
+
+    def _arg(self, x):
+        return log_exp_to_frechet(x)
+
+    def cdf(self, x, rows=None):
+        return self._ratio(x, rows)
+
+
+class _InvertedSlice(_PartitionSlice):
+    """Inverted max-stable kernel, through W(x) = V(1/x).
+
+    The survivor function's partition sums share the max-stable structure at
+    coordinates -log x, with log Jacobian -2 log x per differentiated
+    coordinate; the ratio is the conditional survivor and the CDF its
+    complement.  The limit x_k -> 0+ (coordinate +inf) marginalizes the next
+    coordinate out of the survivor.
+    """
+
+    complement = True
+
+    def __init__(self, measure, states):
+        super().__init__(measure, states)
+
+    def _arg(self, x):
+        return -np.log(x)
+
+    def _log_jacobian(self, states):
+        return -2.0 * np.log(states)
+
+    def cdf(self, x, rows=None):
+        return self._ratio(x, rows)
 
 
 class MaxStableModel(MarkovModel):
     """Markov kernel induced by a (k+1)-dimensional max-stable copula."""
+
+    slice_class = _MaxStableSlice
+    kind = "max_stable"
 
     def __init__(self, measure, allow_large_order=False):
         k = measure.dim - 1
@@ -248,88 +311,20 @@ class MaxStableModel(MarkovModel):
         self.k = k
 
     def kernel_slice(self, states, grade="accurate"):
-        return _MaxStableSlice(_graded(self.measure, grade), states)
+        return self.slice_class(_graded(self.measure, grade), states)
 
     def initial_slice(self, j, states, grade="accurate"):
-        return _MaxStableSlice(_graded(self.measure, grade).margin(range(j + 1)), states)
+        return self.slice_class(_graded(self.measure, grade).margin(range(j + 1)), states)
 
     def descriptor(self):
-        return f"max_stable({self.measure.descriptor()})"
+        return f"{self.kind}({self.measure.descriptor()})"
 
 
-class _InvertedSlice:
-    """P(X_k <= x | states) for an inverted max-stable kernel.
-
-    Works on W(x) = V(1/x), whose survivor-function partition sums share the
-    max-stable structure; the conditional survivor is the partition ratio
-    times exp(W_marg - W_full) and the CDF is its complement.
-    """
-
-    def __init__(self, measure, states):
-        dim = measure.dim
-        k = dim - 1
-        self.k = k
-        states, _ = as_batch(states, k)
-        self.n = states.shape[0]
-        self.state_max = float(states.max())
-        neg_logx = -np.log(states)
-        self.logx = -neg_logx
-        scheme = _scheme(k)
-        self.scheme = scheme
-        self.partial_evs = [(J, measure.partial_tail_evaluator(J, neg_logx))
-                            for J in scheme.subsets]
-        self.value_ev = measure.value_tail_evaluator(neg_logx)
-        # x_k -> 0+ marginalizes the next coordinate out of the survivor
-        big = np.full(self.n, _LOG_BIG)
-        log_den_terms = np.stack(
-            [ev(big) - 2.0 * self.logx[:, J].sum(axis=1)
-             for J, ev in self.partial_evs], axis=0)
-        self.log_den = scheme.log_sum(log_den_terms)
-        self.w_marg = self.value_ev(big)
-
-    def cdf(self, x, rows=None):
-        x = np.asarray(x, dtype=float)
-        n = self.n if rows is None else len(rows)
-        out = np.zeros(n)
-        pos = x > 0
-        if not np.any(pos):
-            return out
-        sub = np.where(pos)[0]
-        rsub = sub if rows is None else np.asarray(rows)[sub]
-        neg_logx_k = -np.log(x[sub])
-        log_terms = np.stack(
-            [ev(neg_logx_k, rows=rsub) - 2.0 * self.logx[rsub][:, J].sum(axis=1)
-             for J, ev in self.partial_evs], axis=0)
-        log_num = self.scheme.log_sum(log_terms)
-        w_full = self.value_ev(neg_logx_k, rows=rsub)
-        surv = np.exp(np.minimum(
-            log_num - self.log_den[rsub] + (self.w_marg[rsub] - w_full), 0.0))
-        out[pos] = 1.0 - surv
-        return out
-
-
-class InvertedMaxStableModel(MarkovModel):
+class InvertedMaxStableModel(MaxStableModel):
     """Markov kernel of an inverted max-stable distribution."""
 
-    def __init__(self, measure, allow_large_order=False):
-        k = measure.dim - 1
-        if k < 1:
-            raise ParameterError("measure dimension must be at least 2")
-        if k > MAX_ORDER and not allow_large_order:
-            raise ParameterError(
-                f"order {k} exceeds the default cap {MAX_ORDER}; "
-                "pass allow_large_order=True to override")
-        self.measure = measure
-        self.k = k
-
-    def kernel_slice(self, states, grade="accurate"):
-        return _InvertedSlice(_graded(self.measure, grade), states)
-
-    def initial_slice(self, j, states, grade="accurate"):
-        return _InvertedSlice(_graded(self.measure, grade).margin(range(j + 1)), states)
-
-    def descriptor(self):
-        return f"inverted_max_stable({self.measure.descriptor()})"
+    slice_class = _InvertedSlice
+    kind = "inverted_max_stable"
 
 
 # convenience constructors ---------------------------------------------------
@@ -357,13 +352,22 @@ def asym_logistic_model(params, **kw):
 # ---------------------------------------------------------------------------
 # operations
 
+def _per_row(v, n, name):
+    """`v` as one value per state row: a scalar or length-1 `v` is repeated."""
+    v = np.asarray(v, dtype=float)
+    if v.size == 1 and v.ndim <= 1:
+        return np.full(n, v.item())
+    if v.shape != (n,):
+        raise DomainError(f"{name} must be a scalar or have one entry per state "
+                          f"row ({n}), got shape {v.shape}")
+    return v
+
+
 def kernel_cdf(model, states, x, grade="accurate"):
     """P(X_k <= x | previous k states); batched over rows of `states`."""
     states_b, squeeze = as_batch(states, model.k)
+    x = _per_row(x, states_b.shape[0], "x")
     sl = model.kernel_slice(states_b, grade=grade)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = np.full(states_b.shape[0], float(x))
     out = sl.cdf(x)
     return float(out[0]) if squeeze and out.shape[0] == 1 else out
 
@@ -380,15 +384,21 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
     positive half-line, so the lower bracket never fails.  The upper bracket
     is BRACKET_HIGH above the largest conditioning state (the conditional
     mass beyond that is below 1e-26 for every implemented family); failure
-    there signals parameter pathology.
+    there signals parameter pathology.  Non-finite CDF values raise
+    NumericalError.
     """
+    def finite(f):
+        if not np.all(np.isfinite(f)):
+            raise NumericalError("kernel CDF returned non-finite values")
+        return f
+
     prob = np.clip(np.asarray(prob, dtype=float), 1e-300, 1.0 - 1e-16)
     n = prob.shape[0]
     cap = BRACKET_HIGH + getattr(sl, "state_max", 0.0)
     grid = np.outer(np.atleast_1d(cap), _GRID_FRACTIONS)  # (n or 1, G)
     if grid.shape[0] == 1:
         grid = np.broadcast_to(grid, (n, _GRID_FRACTIONS.size))
-    grid_f = np.stack([sl.cdf(grid[:, i]) for i in range(grid.shape[1])], axis=1)
+    grid_f = np.stack([finite(sl.cdf(grid[:, i])) for i in range(grid.shape[1])], axis=1)
     pos = (grid_f < prob[:, None]).sum(axis=1)
     if np.any(pos == _GRID_FRACTIONS.size):
         bad = int(np.sum(pos == _GRID_FRACTIONS.size))
@@ -402,7 +412,7 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
     hi = np.take_along_axis(grid, pos[:, None], axis=1)[:, 0]
     f_hi = np.take_along_axis(grid_f, pos[:, None], axis=1)[:, 0] - prob
     x = 0.5 * (lo + hi)
-    fx = sl.cdf(x) - prob
+    fx = finite(sl.cdf(x)) - prob
     active = np.abs(fx) > tol
     for it in range(max_iter):
         if not np.any(active):
@@ -423,7 +433,7 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
             & (it % 3 != 2)
         prop = np.where(good, sec, mid)
         rows = np.where(active)[0]
-        fx_new = sl.cdf(prop[rows], rows=rows) - prob[rows]
+        fx_new = finite(sl.cdf(prop[rows], rows=rows)) - prob[rows]
         x[rows] = prop[rows]
         fx[rows] = fx_new
         tiny = width < 1e-13 * np.maximum(1.0, hi)
@@ -436,14 +446,9 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
 def kernel_quantile(model, states, prob, tol=DEFAULT_PROB_TOL, grade="accurate"):
     """x with kernel_cdf(model, states, x) = prob (per row)."""
     states_b, squeeze = as_batch(states, model.k)
-    prob = np.asarray(prob, dtype=float)
-    if prob.ndim == 0:
-        prob = np.full(states_b.shape[0], float(prob))
+    prob = _per_row(prob, states_b.shape[0], "prob")
     sl = model.kernel_slice(states_b, grade=grade)
-    if hasattr(sl, "quantile"):
-        out = sl.quantile(prob)
-    else:
-        out = _invert_slice(sl, prob, tol=tol)
+    out = sl.quantile(prob, tol)
     return float(out[0]) if squeeze and out.shape[0] == 1 else out
 
 
@@ -472,10 +477,7 @@ def sample_initial_conditioned(model, u, rng, n, tol=DEFAULT_PROB_TOL,
         states = np.stack(cols, axis=1)
         sl = model.initial_slice(j, states, grade=grade)
         prob = rng.uniform(size=n)
-        if hasattr(sl, "quantile"):
-            cols.append(sl.quantile(prob))
-        else:
-            cols.append(_invert_slice(sl, prob, tol=tol))
+        cols.append(sl.quantile(prob, tol))
     return np.stack(cols, axis=1)
 
 
@@ -486,21 +488,17 @@ def _simulate_chunk(model, u, T, n, rng, tol, burn_in=0, grade="sampling"):
     for t in range(k, T + burn_in + 1):
         sl = model.kernel_slice(paths[:, t - k:t], grade=grade)
         prob = rng.uniform(size=n)
-        if hasattr(sl, "quantile"):
-            paths[:, t] = sl.quantile(prob)
-        else:
-            paths[:, t] = _invert_slice(sl, prob, tol=tol)
+        paths[:, t] = sl.quantile(prob, tol)
     return paths[:, burn_in:]
 
 
 def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5,
-                               threads=1, chunk_size=2048, burn_in=0,
-                               grade="sampling"):
+                               chunk_size=2048, burn_in=0, grade="sampling"):
     """Ensemble of chains started from X_0 > u; returns a PathEnsemble.
 
     Replicates are simulated in fixed chunks whose RNG streams are spawned
     from (seed, chunk index), so results depend on (model, u, T, n_rep,
-    seed) but not on the number of worker threads.  The default inversion
+    seed, chunk_size) only.  The default inversion
     tolerance and quadrature grade are Monte-Carlo grade: inversion error
     1e-6 is far below any ensemble statistic's resolution; pass
     tol=1e-10, grade="accurate" to sample at the single-draw contract.
@@ -508,27 +506,18 @@ def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5,
     if T < model.k:
         raise ParameterError("horizon T must be at least the order k")
     n_chunks = (n_rep + chunk_size - 1) // chunk_size
-    sizes = [min(chunk_size, n_rep - i * chunk_size) for i in range(n_chunks)]
-
-    def run(i):
-        return _simulate_chunk(model, u, T, sizes[i], replicate_rng(seed, i),
-                               tol, burn_in=burn_in, grade=grade)
-
-    if threads and threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            blocks = list(ex.map(run, range(n_chunks)))
-    else:
-        blocks = [run(i) for i in range(n_chunks)]
+    blocks = [_simulate_chunk(model, u, T, min(chunk_size, n_rep - i * chunk_size),
+                              replicate_rng(seed, i), tol, burn_in=burn_in, grade=grade)
+              for i in range(n_chunks)]
     data = np.concatenate(blocks, axis=0)
     return PathEnsemble(data=data, u=u, seed=seed, model=model.descriptor(),
                         norming="none")
 
 
 def simulate_stationary_chain(model, T, n_rep, seed, burn_in=100,
-                              tol=DEFAULT_PROB_TOL, threads=1, chunk_size=2048):
+                              tol=DEFAULT_PROB_TOL, chunk_size=2048):
     """Unconditioned stationary runs (exceedance threshold 0) after burn-in."""
     ens = simulate_conditioned_chain(model, 0.0, T, n_rep, seed, tol=tol,
-                                     threads=threads, chunk_size=chunk_size,
-                                     burn_in=burn_in)
+                                     chunk_size=chunk_size, burn_in=burn_in)
     ens.u = None
     return ens

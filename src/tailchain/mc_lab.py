@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import kernel_cdf, simulate_conditioned_chain
-from .paths import PathEnsemble
 from .tail_chain import simulate_hidden_tail_chain
 from .transforms import uniform_to_exp
 from .utils import DomainError, ParameterError
@@ -149,7 +148,7 @@ def chi_from_paths(paths, lags, level):
     return ChiEstimate(value=p, se=se, n=n, lags=lags, level=level)
 
 
-def chi_estimate(model, lags, level, n, seed, threads=1):
+def chi_estimate(model, lags, level, n, seed):
     """MC estimate of P(all lagged exceedances | initial exceedance).
 
     Levels are uniform-scale quantiles near 1; conditioned starts make the
@@ -160,7 +159,7 @@ def chi_estimate(model, lags, level, n, seed, threads=1):
     lags = tuple(int(j) for j in lags)
     T = max(max(lags), model.k)
     x_u = uniform_to_exp(level)
-    ens = simulate_conditioned_chain(model, x_u, T, n, seed, threads=threads)
+    ens = simulate_conditioned_chain(model, x_u, T, n, seed)
     return chi_from_paths(ens.data, lags, level)
 
 
@@ -212,7 +211,7 @@ class ConvergenceReport:
 
 
 def convergence_diagnostic(model, tail_model, u_grid=(3.0, 6.0, 9.0), lags=None,
-                           n=10_000, seed=0, tolerance=0.05, threads=1):
+                           n=10_000, seed=0, tolerance=0.05):
     """Simulate, renormalize, and compare against the tail chain per threshold.
 
     For each u in the grid the conditioned ensemble is renormalized with the
@@ -225,7 +224,7 @@ def convergence_diagnostic(model, tail_model, u_grid=(3.0, 6.0, 9.0), lags=None,
     limit = simulate_hidden_tail_chain(tail_model, T, n, seed=seed + 1)
     ks = np.empty((len(u_grid), len(lags)))
     for i, u in enumerate(u_grid):
-        ens = simulate_conditioned_chain(model, u, T, n, seed, threads=threads)
+        ens = simulate_conditioned_chain(model, u, T, n, seed)
         ren = renormalize(ens, tail_model)
         for j, lag in enumerate(lags):
             ks[i, j] = ks_distance(ren.data[:, lag], limit.data[:, lag])

@@ -15,16 +15,14 @@ Arguments called ``logy`` are natural logs of the heavy-tailed-scale
 coordinates with shape (batch, dim); plain ``y`` entry points accept
 +inf coordinates as exact sentinels.
 """
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .mvnorm import GenzTailCache, mvn_logcdf
-from .utils import DomainError, ParameterError
+from .utils import DomainError, ParameterError, logsumexp
 
 
 def _check_subset(J, dim):
@@ -458,10 +456,13 @@ class HuslerReissMeasure(ExponentMeasure):
                 anchor = head[:, i]
                 lc = cache.logcdf(logy_last - anchor + sh, rows=rows)
                 total += np.exp(-anchor + lc)
-            w = head[:, idx_l] - logy_last[:, None] + shift_l[None, :]
-            logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
-                                   shifts=1, seed=self.qmc_seed)
-            total += np.exp(-logy_last + logphi)
+            # the last-anchor term is exactly 0 where the final coordinate is +inf
+            live = ~np.isposinf(logy_last)
+            if np.any(live):
+                w = head[live][:, idx_l] - logy_last[live, None] + shift_l[None, :]
+                logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
+                                       shifts=1, seed=self.qmc_seed)
+                total[live] += np.exp(-logy_last[live] + logphi)
             return total
         return evaluate
 

@@ -6,9 +6,9 @@ deep in the joint tail keep relative accuracy; the returned error estimate
 is on the natural probability scale.
 """
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
-from .utils import DomainError, ParameterError
+from .utils import DomainError, ParameterError, logsumexp
 
 _PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype=float)
 

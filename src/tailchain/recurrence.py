@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_toeplitz, toeplitz
-from scipy.special import logsumexp
 
-from .utils import DomainError, NumericalError, ParameterError, RootClusterAmbiguity
+from .utils import DomainError, NumericalError, ParameterError, RootClusterAmbiguity, logsumexp
 
 _SIMPLEX_TOL = 1e-12
 _CLUSTER_TOL = 1e-6

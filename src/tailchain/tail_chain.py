@@ -12,14 +12,14 @@ Windows are ordered oldest to newest throughout, matching
 """
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import expit, log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from .measures import AsymLogisticMeasure
 from .mvnorm import mvn_cdf
 from .paths import PathEnsemble
 from .recurrence import beta_sequence, gaussian_yule_walker
 from .transforms import exp_to_frechet
-from .utils import DomainError, ParameterError, replicate_rng
+from .utils import DomainError, ParameterError, logsumexp, replicate_rng
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +746,3 @@ def simulate_regime_tail_chain(params, T, n_rep, seed):
                                "atom_flag": atom, "limit": True})
     return ens
 
-
-def mode_zero_times(modes_row):
-    """Times t >= 1 with mode 0 (the latent process's drop times)."""
-    return np.where(modes_row[1:] == 0)[0] + 1

@@ -43,6 +43,23 @@ def replicate_rng(master_seed, r):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(r,)))
 
 
+def logsumexp(a, axis):
+    """log(sum(exp(a))) along `axis`: scipy.special.logsumexp's arithmetic for
+    real input step for step, so bit-identical, without its array-API
+    dispatch, which costs more than the sums on the kernels' batches."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.exp(a).sum(axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def as_batch(x, width):
     """Coerce `x` to a 2-d float array with `width` columns.
 

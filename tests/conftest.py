@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from tailchain import cli
+
 # parameter sets used by the figure-reproduction material
-FIG1_RHO = np.array([0.70, 0.57, 0.47, 0.39, 0.33])
-FIG1_HR = toeplitz([1.0, 0.9, 0.7, 0.5, 0.3, 0.1])
-FIG1_LOGISTIC_ALPHA = 0.32
-FIG1_INVERTED_ALPHA = 0.27
+FIG1_RHO = np.array(cli.FIG1_GAUSS_RHO)
+FIG1_HR = toeplitz(cli.FIG1_HR_TOEPLITZ)
+FIG1_LOGISTIC_ALPHA = cli.FIG1_LOGISTIC_ALPHA
+FIG1_INVERTED_ALPHA = cli.FIG1_INVERTED_ALPHA
 
 
 @pytest.fixture

@@ -156,7 +156,7 @@ def _criterion_4(name, model, tail, n=10_000, final_lags=None):
     t0 = time.perf_counter()
     rep = convergence_diagnostic(model, tail, u_grid=(3.0, 6.0, 9.0),
                                  lags=tuple(range(1, 11)), n=n, seed=104,
-                                 tolerance=0.05, threads=2)
+                                 tolerance=0.05)
     elapsed = time.perf_counter() - t0
     _RUNTIMES[name] = elapsed
     final_lags = final_lags if final_lags is not None else model.k
@@ -214,7 +214,7 @@ def test_inverted_weak_convergence_at_larger_u():
                                  InvertedLogisticScaleTailChain(FIG1_INVERTED_ALPHA, 5),
                                  u_grid=(30.0, 100.0, 400.0),
                                  lags=tuple(range(1, 6)), n=10_000, seed=106,
-                                 tolerance=0.05, threads=2)
+                                 tolerance=0.05)
     _line("criterion 4 companion (inverted logistic at larger u)",
           bool(np.all(rep.final_pass)),
           f"KS(u=400, lags<=k) = {np.array2string(rep.ks[-1], precision=3)}")

@@ -152,13 +152,10 @@ def test_validate_csv_outputs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_threads_do_not_change_output(tmp_path):
-    blobs = []
-    for threads, sub in ((1, "t1"), (2, "t2")):
-        out = tmp_path / sub
-        code = _run(["--out", str(out), "--seed", "12", "--threads", str(threads),
-                     "simulate-chain", "--family", "logistic", "--alpha", "0.4",
-                     "--k", "2", "--u", "5", "--horizon", "4", "--n-rep", "40"])
-        assert code == 0
-        blobs.append((out / "chain_paths.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+def test_validate_without_tail_chain_is_a_config_error(tmp_path, capsys):
+    code = _run(["--out", str(tmp_path), "validate", "--family", "asym-logistic",
+                 "--u-grid", "3", "--lags", "1", "--n-rep", "10"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "asym-logistic" in err["message"]

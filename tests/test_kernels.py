@@ -9,9 +9,9 @@ from tailchain.kernels import (MAX_ORDER, _invert_slice, asym_logistic_model,
                                sample_initial_conditioned, set_partitions,
                                simulate_conditioned_chain,
                                simulate_stationary_chain)
-from tailchain.measures import AsymLogisticParams
+from tailchain.measures import AsymLogisticMeasure, AsymLogisticParams
 from tailchain.transforms import exp_to_frechet, exp_to_gauss
-from tailchain.utils import BracketError, ParameterError
+from tailchain.utils import BracketError, DomainError, NumericalError, ParameterError
 
 from conftest import FIG1_RHO
 
@@ -172,11 +172,6 @@ def test_simulate_conditioned_chain_basics():
     assert np.all(np.isfinite(ens.data))
     again = simulate_conditioned_chain(m, 9.0, 12, 500, seed=11)
     assert np.array_equal(ens.data, again.data)
-    threaded = simulate_conditioned_chain(m, 9.0, 12, 500, seed=11, threads=2,
-                                          chunk_size=128)
-    serial = simulate_conditioned_chain(m, 9.0, 12, 500, seed=11, threads=1,
-                                        chunk_size=128)
-    assert np.array_equal(threaded.data, serial.data)
 
 
 def test_gaussian_stationary_autocorrelation():
@@ -203,8 +198,7 @@ def test_stationarity_smoke(maker):
     # and at n = 1e4 the 0.01 band sits below the null KS distribution's
     # 79th percentile, so the check runs at n = 4e4 where it has power.
     m = maker()
-    ens = simulate_stationary_chain(m, m.k + 1, 40_000, seed=17, burn_in=10,
-                                    threads=2)
+    ens = simulate_stationary_chain(m, m.k + 1, 40_000, seed=17, burn_in=10)
     stat = kstest(ens.data[:, m.k], expon.cdf).statistic
     assert stat < 0.01
 
@@ -228,6 +222,25 @@ def test_log_space_partition_sums_match_naive():
         assert np.exp(log_sum[0]) == pytest.approx(naive, rel=1e-9)
 
 
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp as scipy_logsumexp
+    from tailchain.utils import logsumexp
+    rng = np.random.default_rng(4)
+    a = rng.normal(scale=30.0, size=(6, 40))
+    ties = np.round(a / 10.0)
+    edge = a.copy()
+    edge[0, :] = -np.inf
+    edge[1, 3] = np.inf
+    edge[2, 5] = np.nan
+    for arr in (a, ties, edge, a[0]):
+        for axis in range(arr.ndim):
+            with np.errstate(all="ignore"):
+                ref = scipy_logsumexp(arr, axis=axis)
+            out = logsumexp(arr, axis=axis)
+            assert np.shape(out) == np.shape(ref)
+            assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+
 def test_bracket_failure_is_signalled():
     class Stub:
         def cdf(self, x, rows=None):
@@ -235,6 +248,40 @@ def test_bracket_failure_is_signalled():
 
     with pytest.raises(BracketError):
         _invert_slice(Stub(), np.array([0.9]))
+
+
+def test_non_finite_cdf_fails_loudly():
+    class Stub:
+        def cdf(self, x, rows=None):
+            return np.full(np.shape(x), np.nan)
+
+    with pytest.raises(NumericalError):
+        _invert_slice(Stub(), np.array([0.3, 0.9]))
+
+
+def test_zero_mixed_partials_give_the_independence_kernel():
+    # all mixed partials of order two and more vanish, so the partition sums
+    # hold -inf log terms; the kernel is the unit-exponential CDF whatever
+    # the states
+    from tailchain.kernels import MaxStableModel
+    m = MaxStableModel(AsymLogisticMeasure(
+        faces=[((0,), 1.0, None), ((1,), 1.0, None), ((2,), 1.0, None)], dim=3))
+    states = np.array([[0.7, 2.0], [3.0, 0.2], [9.0, 5.0], [1.0, 1.0], [4.0, 12.0]])
+    x = np.array([0.1, 0.5, 1.0, 3.0, 10.0])
+    assert np.max(np.abs(kernel_cdf(m, states, x) + np.expm1(-x))) < 1e-12
+    p = np.array([0.05, 0.3, 0.5, 0.8, 0.99])
+    q = kernel_quantile(m, states, p)
+    assert np.max(np.abs(kernel_cdf(m, states, q) - p)) < 1e-9
+
+
+def test_per_row_arguments_must_match_the_state_rows():
+    m = logistic_model(0.5, 2)
+    states = np.tile([3.0, 2.0], (5, 1))
+    with pytest.raises(DomainError):
+        kernel_cdf(m, states, [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        kernel_quantile(m, states, [0.2, 0.5, 0.7])
+    assert kernel_cdf(m, states, [2.0]).shape == (5,)
 
 
 def test_alog_one_step_and_two_step_kernels():

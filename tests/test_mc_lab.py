@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest, norm
 
-from tailchain.kernels import gaussian_model, logistic_model, simulate_conditioned_chain
+from tailchain.kernels import (gaussian_model, husler_reiss_model, logistic_model,
+                               simulate_conditioned_chain)
 from tailchain.mc_lab import (ChiEstimate, chi_estimate, chi_from_paths,
                               convergence_diagnostic, kernel_limit_gap, ks_distance,
                               quantile_bands, renormalize)
 from tailchain.paths import PathEnsemble
-from tailchain.tail_chain import (GaussianARTailChain, LogisticLocationTailChain,
-                                  simulate_hidden_tail_chain)
+from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
+                                  LogisticLocationTailChain, simulate_hidden_tail_chain)
 from tailchain.utils import DomainError
 
-from conftest import FIG1_RHO
+from conftest import FIG1_HR, FIG1_RHO
 
 
 class _IdentityNorming:
@@ -138,3 +139,20 @@ def test_kernel_limit_gap_logistic_tight():
                                      20.0, np.linspace(-5, 5, 21))
     assert gap < 1e-6
     assert fin.shape == lim.shape == (21,)
+
+
+@pytest.mark.parametrize("u", [60.0, 100.0, 1e3])
+def test_kernel_limit_gap_logistic_at_high_thresholds(u):
+    # states far above any fixed log-scale cut-off: the kernel's denominator
+    # must still marginalize the next coordinate out exactly
+    gap, _, _ = kernel_limit_gap(logistic_model(0.32, 5), LogisticLocationTailChain(0.32, 5),
+                                 u, np.linspace(-5, 5, 21))
+    assert gap < 1e-3
+
+
+@pytest.mark.parametrize("u", [62.0, 100.0])
+def test_kernel_limit_gap_husler_reiss_at_high_thresholds(u):
+    gap, _, _ = kernel_limit_gap(husler_reiss_model(FIG1_HR),
+                                 HuslerReissLocationTailChain(FIG1_HR),
+                                 u, np.linspace(-5, 5, 21))
+    assert gap < 1e-2

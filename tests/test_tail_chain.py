@@ -313,7 +313,7 @@ def test_regime_body_law_matches_finite_level_kernel():
     states = np.array([[u + x0, u + x1]])
     body_mass = kernel_cdf(chain, states, 8.0)
     assert body_mass == pytest.approx(
-        float(model.m11(np.array([x0]), np.array([x1]))), abs=5e-3)
+        model.m11(np.array([x0]), np.array([x1])).item(), abs=5e-3)
 
 
 def test_regime_simulation_bookkeeping():
