@@ -6,12 +6,9 @@ Monte Carlo diagnostics that compare conditioned chains against their
 limiting tail chains.
 """
 from .measures import (AsymLogisticMeasure, AsymLogisticParams, HuslerReissMeasure,
-                       LogisticMeasure, asym_logistic_exponent, exponent_partial,
-                       finite_difference_partial, husler_reiss_exponent,
-                       logistic_exponent)
-from .transforms import (MarginalTransform, exp_to_frechet, exp_to_gauss,
-                         exp_to_uniform, frechet_to_exp, gauss_to_exp,
-                         uniform_to_exp)
+                       LogisticMeasure, finite_difference_partial)
+from .transforms import (exp_to_frechet, exp_to_gauss, exp_to_uniform, frechet_to_exp,
+                         gauss_to_exp, uniform_to_exp)
 from .mvnorm import mvn_cdf, mvn_logcdf
 from .recurrence import (HomogeneousFamily, RecurrenceSolution, beta_sequence,
                          gaussian_family, gaussian_yule_walker, iterate_alpha,
@@ -25,9 +22,7 @@ from .kernels import (GaussianCopulaModel, InvertedMaxStableModel, MarkovModel,
 from .tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                          InvertedLogisticScaleTailChain, LogisticLocationTailChain,
                          RegimeSwitchingTailChain, finite_level_remainder,
-                         lamperti_inverse, lamperti_transform, log_transform,
-                         simulate_hidden_tail_chain, simulate_regime_tail_chain,
-                         update_functions)
+                         simulate_hidden_tail_chain, simulate_regime_tail_chain)
 from .mc_lab import (ChiEstimate, ConvergenceReport, chi_estimate, chi_from_paths,
                      convergence_diagnostic, kernel_limit_gap, ks_distance,
                      quantile_bands, renormalize)

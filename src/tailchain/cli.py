@@ -2,10 +2,12 @@
 
 Every run is fully determined by (config, seed): CSV outputs are
 byte-identical across repeated runs and floats print with 17 significant
-digits.  `validate` maps the chain family to its tail-chain kind and builds
-the limit with the same constructor as `simulate-tail-chain`.  Exit codes:
-0 success, 2 configuration or parameter problems, 3 numerical failures
-(with a diagnostic JSON on stderr).
+digits.  One registry, `_FAMILIES`, maps each chain family to its
+parameter parser, chain builder, tail-chain kind and tail builder; every
+subcommand that builds a model (`simulate-chain`, `simulate-tail-chain`,
+`validate`, `chi`, `fig1`) looks it up there.  Exit codes: 0 success, 2
+configuration or parameter problems, 3 numerical failures (with a
+diagnostic JSON on stderr).
 """
 import argparse
 import csv
@@ -34,6 +36,11 @@ FIG1_INVERTED_ALPHA = 0.27
 FIG1_LOGISTIC_ALPHA = 0.32
 FIG2_THETA = (0.3, 0.3, 0.3, 0.3, 0.3, 0.1)
 FIG2_NU = (0.5, 0.5, 0.5)
+# fig1 panel -> registry family and its reference parameters
+_FIG1_PANELS = {"a": ("gaussian", {"rho": FIG1_GAUSS_RHO}),
+                "b": ("inverted-logistic", {"alpha": FIG1_INVERTED_ALPHA, "k": 5}),
+                "c": ("logistic", {"alpha": FIG1_LOGISTIC_ALPHA, "k": 5}),
+                "d": ("husler-reiss", {"cov_toeplitz": FIG1_HR_TOEPLITZ})}
 
 
 class ConfigError(ValueError):
@@ -113,58 +120,61 @@ def _write_bands_csv(path, bands):
     _write_csv(path, header, rows)
 
 
-def _chain_model(cfg):
-    family = cfg.get("family")
-    if family in (None, ""):
-        raise ConfigError("a chain family is required")
-    family = str(family).replace("_", "-")
-    if family == "gaussian":
-        rho = _floats(cfg.get("rho"), "rho")
-        if not rho:
-            raise ConfigError("gaussian family needs rho = rho_1..rho_k")
-        return gaussian_model(np.asarray(rho))
-    if family == "logistic":
-        return logistic_model(float(cfg.get("alpha", 0.5)), int(cfg.get("k", 1)))
-    if family == "inverted-logistic":
-        return inverted_logistic_model(float(cfg.get("alpha", 0.5)), int(cfg.get("k", 1)))
-    if family == "husler-reiss":
-        vec = _floats(cfg.get("cov_toeplitz"), "cov_toeplitz")
-        if not vec:
-            raise ConfigError("husler-reiss family needs cov_toeplitz = first row")
-        return husler_reiss_model(toeplitz(np.asarray(vec)))
-    if family == "asym-logistic":
-        return asym_logistic_model(_alog_params(cfg))
-    raise ConfigError(f"unknown chain family {family!r}")
+# one parser per model parameter; each returns the builder's arguments
+
+def _rho_args(cfg):
+    rho = _floats(cfg.get("rho"), "rho")
+    if not rho:
+        raise ConfigError("rho = rho_1..rho_k is required")
+    return (np.asarray(rho),)
 
 
-def _alog_params(cfg):
+def _alpha_k_args(cfg):
+    return float(cfg.get("alpha", 0.5)), int(cfg.get("k", 1))
+
+
+def _cov_toeplitz_args(cfg):
+    vec = _floats(cfg.get("cov_toeplitz"), "cov_toeplitz")
+    if not vec:
+        raise ConfigError("cov_toeplitz = first row of the Toeplitz covariance is required")
+    return (toeplitz(np.asarray(vec)),)
+
+
+def _alog_args(cfg):
     theta = _floats(cfg.get("theta", list(FIG2_THETA)), "theta")
     nu = _floats(cfg.get("nu", list(FIG2_NU)), "nu")
     if len(theta) != 6 or len(nu) != 3:
         raise ConfigError("asym-logistic needs theta (6 values) and nu (3 values)")
-    return AsymLogisticParams(*theta, *nu)
+    return (AsymLogisticParams(*theta, *nu),)
 
 
-def _tail_model(cfg):
-    kind = str(cfg.get("kind", "")).replace("_", "-")
-    if kind == "gaussian-ar":
-        return GaussianARTailChain(np.asarray(_floats(cfg.get("rho"), "rho")))
-    if kind == "logistic-rw":
-        return LogisticLocationTailChain(float(cfg.get("alpha", 0.5)), int(cfg.get("k", 1)))
-    if kind == "husler-reiss-rw":
-        vec = _floats(cfg.get("cov_toeplitz"), "cov_toeplitz")
-        return HuslerReissLocationTailChain(toeplitz(np.asarray(vec)))
-    if kind == "inverted-logistic-scale":
-        return InvertedLogisticScaleTailChain(float(cfg.get("alpha", 0.5)),
-                                              int(cfg.get("k", 1)))
-    raise ConfigError(f"unknown tail-chain kind {kind!r} "
-                      "(regime-switching runs via its own flag set)")
+# family -> (parameter parser, chain builder, tail-chain kind, tail builder).
+# The asymmetric logistic's limit is the regime-switching chain, which has
+# its own simulator instead of a tail-chain model.
+_FAMILIES = {
+    "gaussian": (_rho_args, gaussian_model, "gaussian-ar", GaussianARTailChain),
+    "logistic": (_alpha_k_args, logistic_model, "logistic-rw", LogisticLocationTailChain),
+    "inverted-logistic": (_alpha_k_args, inverted_logistic_model,
+                          "inverted-logistic-scale", InvertedLogisticScaleTailChain),
+    "husler-reiss": (_cov_toeplitz_args, husler_reiss_model, "husler-reiss-rw",
+                     HuslerReissLocationTailChain),
+    "asym-logistic": (_alog_args, asym_logistic_model, "regime-switching", None),
+}
+_KIND_FAMILY = {entry[2]: family for family, entry in _FAMILIES.items()}
 
 
-# tail-chain kind of each chain family whose limit is a hidden tail chain
-_TAIL_KIND = {"gaussian": "gaussian-ar", "logistic": "logistic-rw",
-              "inverted-logistic": "inverted-logistic-scale",
-              "husler-reiss": "husler-reiss-rw"}
+def _family(cfg, key="family"):
+    """Registry family named by cfg[key]: a chain family or a tail-chain kind."""
+    names = {f: f for f in _FAMILIES} if key == "family" else _KIND_FAMILY
+    name = str(cfg.get(key) or "").replace("_", "-")
+    if name not in names:
+        raise ConfigError(f"unknown {key} {name!r}; one of {', '.join(names)}")
+    return names[name]
+
+
+def _chain(cfg):
+    parse, build, _, _ = _FAMILIES[_family(cfg)]
+    return build(*parse(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +233,7 @@ def _run_beta_seq(cfg, out, seed):
 
 
 def _run_simulate_chain(cfg, out, seed):
-    model = _chain_model(cfg)
+    model = _chain(cfg)
     u = float(cfg.get("u", 9.0))
     T = int(cfg.get("horizon", max(2 * model.k, 10)))
     n = int(cfg.get("n_rep", 100))
@@ -233,13 +243,13 @@ def _run_simulate_chain(cfg, out, seed):
 
 
 def _run_simulate_tail_chain(cfg, out, seed):
-    kind = str(cfg.get("kind", "")).replace("_", "-")
+    parse, _, _, tail = _FAMILIES[_family(cfg, "kind")]
     T = int(cfg.get("horizon", 50))
     n = int(cfg.get("n_rep", 10_000))
-    if kind == "regime-switching":
-        ens = simulate_regime_tail_chain(_alog_params(cfg), T, n, seed)
+    if tail is None:
+        ens = simulate_regime_tail_chain(*parse(cfg), T, n, seed)
     else:
-        ens = simulate_hidden_tail_chain(_tail_model(cfg), T, n, seed)
+        ens = simulate_hidden_tail_chain(tail(*parse(cfg)), T, n, seed)
     _write_paths_csv(os.path.join(out, "tail_chain_paths.csv"), ens)
     probs = _floats(cfg.get("probs", [0.025, 0.5, 0.975]), "probs")
     _write_bands_csv(os.path.join(out, "tail_chain_bands.csv"),
@@ -248,12 +258,13 @@ def _run_simulate_tail_chain(cfg, out, seed):
 
 
 def _run_validate(cfg, out, seed):
-    model = _chain_model(cfg)
-    family = str(cfg.get("family")).replace("_", "-")
-    if family not in _TAIL_KIND:
-        raise ConfigError(f"validate has no tail chain for family {family!r}; "
-                          f"supported: {', '.join(_TAIL_KIND)}")
-    tail = _tail_model({**cfg, "kind": _TAIL_KIND[family]})
+    family = _family(cfg)
+    parse, build, _, tail = _FAMILIES[family]
+    if tail is None:
+        raise ConfigError(f"validate has no tail chain for family {family!r}; supported: "
+                          f"{', '.join(f for f, e in _FAMILIES.items() if e[3])}")
+    model = build(*parse(cfg))
+    tail = tail(*parse(cfg))
     u_grid = _floats(cfg.get("u_grid", [3.0, 6.0, 9.0]), "u_grid")
     lags = cfg.get("lags")
     lags = tuple(int(v) for v in _floats(lags, "lags")) if lags is not None else None
@@ -268,7 +279,7 @@ def _run_validate(cfg, out, seed):
 
 
 def _run_chi(cfg, out, seed):
-    model = _chain_model(cfg)
+    model = _chain(cfg)
     lags = tuple(int(v) for v in _floats(cfg.get("lags", [1]), "lags"))
     levels = _floats(cfg.get("levels", [0.95]), "levels")
     n = int(cfg.get("n_rep", 100_000))
@@ -284,16 +295,11 @@ def _run_fig1(cfg, out, seed):
     panel = str(cfg.get("panel", "a")).lower()
     T = int(cfg.get("horizon", 50))
     n = int(cfg.get("n_rep", 10_000))
-    tails = {
-        "a": lambda: GaussianARTailChain(np.asarray(FIG1_GAUSS_RHO)),
-        "b": lambda: InvertedLogisticScaleTailChain(FIG1_INVERTED_ALPHA, 5),
-        "c": lambda: LogisticLocationTailChain(FIG1_LOGISTIC_ALPHA, 5),
-        "d": lambda: HuslerReissLocationTailChain(
-            toeplitz(np.asarray(FIG1_HR_TOEPLITZ))),
-    }
-    if panel not in tails:
+    if panel not in _FIG1_PANELS:
         raise ConfigError("panel must be one of a, b, c, d")
-    ens = simulate_hidden_tail_chain(tails[panel](), T, n, seed)
+    family, params = _FIG1_PANELS[panel]
+    parse, _, _, tail = _FAMILIES[family]
+    ens = simulate_hidden_tail_chain(tail(*parse(params)), T, n, seed)
     bands = quantile_bands(ens, _floats(cfg.get("probs", [0.025, 0.5, 0.975]), "probs"))
     _write_bands_csv(os.path.join(out, f"fig1{panel}_bands.csv"), bands)
     one = ens.with_data(ens.data[:1])
@@ -305,8 +311,7 @@ def _run_fig2(cfg, out, seed):
     T = int(cfg.get("horizon", 200))
     n = int(cfg.get("n_rep", 10_000))
     cond = int(cfg.get("condition_tb", 8))
-    params = _alog_params(cfg)
-    ens = simulate_regime_tail_chain(params, T, n, seed)
+    ens = simulate_regime_tail_chain(*_alog_args(cfg), T, n, seed)
     tb = ens.extras["termination"]
     done = tb[tb > 0]
     values, counts = np.unique(done, return_counts=True)

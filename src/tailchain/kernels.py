@@ -16,7 +16,8 @@ cancellation-free, and zero partials are masked rather than multiplied.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF with a vectorized bracketed secant/bisection hybrid that fails
 loudly on non-finite CDF values; the Gaussian kernel inverts exactly.
-Chains are simulated serially in fixed chunks with their own RNG streams.
+Chains are simulated serially in chunks of CHUNK_SIZE replicates, each with
+its own RNG stream.
 """
 import functools
 
@@ -33,6 +34,7 @@ from .utils import (BracketError, DomainError, NumericalError, ParameterError,
 MAX_ORDER = 6          # Bell-number growth of the partition sums
 BRACKET_HIGH = 60.0    # exponential margins: P(X > 60) < 1e-26
 DEFAULT_PROB_TOL = 1e-10
+CHUNK_SIZE = 2048      # replicates per RNG stream; sampled values depend on it
 
 # quadrature accuracy by use: ensemble sampling tolerates coarse lattices,
 # direct CDF evaluation gets the measure's full configured accuracy
@@ -186,12 +188,6 @@ class GaussianCopulaModel(MarkovModel):
         states, _ = as_batch(states, j)
         return _GaussianSlice(w, sd, states)
 
-    def conditional_gauss(self, states):
-        """(mean, sd) of the next state in Gaussian margins; for tests."""
-        states, squeeze = as_batch(states, self.k)
-        mean = exp_to_gauss(states) @ self._weights
-        return (float(mean[0]) if squeeze else mean), self._sd
-
     def descriptor(self):
         return f"gaussian(rho={np.array2string(self.rho, separator=',')})"
 
@@ -202,9 +198,17 @@ class _PartitionSlice:
     The denominator is the numerator's limit as the next coordinate goes to
     +inf, taken exactly with the same cached tail evaluators, so quadrature
     bias largely cancels in the ratio.  Subclasses supply `_arg`, the map from
-    the exponential scale to the measure's log coordinates, its log Jacobian
-    `_log_jacobian` (or None), and their own `__init__` and `cdf`, which
-    `perfbench/spans.py` instruments class by class.
+    the exponential scale to the measure's log coordinates, and its log
+    Jacobian `_log_jacobian` (or None).
+
+    `perfbench/spans.py` instruments the slices by name, so these must hold:
+    `_MaxStableSlice`, `_InvertedSlice` and `_GaussianSlice` each define their
+    own `__init__` and `cdf` (it patches the class `__dict__`, plus
+    `_GaussianSlice.quantile`); a slice's row count is `self.n`
+    (`len(self.mean)` for `_GaussianSlice`); `quantile` reaches
+    `_invert_slice` as a module global; and the evaluators returned by the
+    measure's `partial_tail_evaluator` and `value_tail_evaluator` take the
+    last-coordinate logs as their first argument.
     """
 
     def __init__(self, measure, states):
@@ -492,21 +496,21 @@ def _simulate_chunk(model, u, T, n, rng, tol, burn_in=0, grade="sampling"):
     return paths[:, burn_in:]
 
 
-def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5,
-                               chunk_size=2048, burn_in=0, grade="sampling"):
+def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5, burn_in=0,
+                               grade="sampling"):
     """Ensemble of chains started from X_0 > u; returns a PathEnsemble.
 
-    Replicates are simulated in fixed chunks whose RNG streams are spawned
-    from (seed, chunk index), so results depend on (model, u, T, n_rep,
-    seed, chunk_size) only.  The default inversion
+    Replicates are simulated in chunks of CHUNK_SIZE whose RNG streams are
+    spawned from (seed, chunk index), so results depend on (model, u, T,
+    n_rep, seed) only.  The default inversion
     tolerance and quadrature grade are Monte-Carlo grade: inversion error
     1e-6 is far below any ensemble statistic's resolution; pass
     tol=1e-10, grade="accurate" to sample at the single-draw contract.
     """
     if T < model.k:
         raise ParameterError("horizon T must be at least the order k")
-    n_chunks = (n_rep + chunk_size - 1) // chunk_size
-    blocks = [_simulate_chunk(model, u, T, min(chunk_size, n_rep - i * chunk_size),
+    n_chunks = (n_rep + CHUNK_SIZE - 1) // CHUNK_SIZE
+    blocks = [_simulate_chunk(model, u, T, min(CHUNK_SIZE, n_rep - i * CHUNK_SIZE),
                               replicate_rng(seed, i), tol, burn_in=burn_in, grade=grade)
               for i in range(n_chunks)]
     data = np.concatenate(blocks, axis=0)
@@ -514,10 +518,10 @@ def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5,
                         norming="none")
 
 
-def simulate_stationary_chain(model, T, n_rep, seed, burn_in=100,
-                              tol=DEFAULT_PROB_TOL, chunk_size=2048):
-    """Unconditioned stationary runs (exceedance threshold 0) after burn-in."""
-    ens = simulate_conditioned_chain(model, 0.0, T, n_rep, seed, tol=tol,
-                                     chunk_size=chunk_size, burn_in=burn_in)
+def simulate_stationary_chain(model, T, n_rep, seed, burn_in=100):
+    """Unconditioned stationary runs (exceedance threshold 0) after burn-in,
+    at the sampling grade and inversion tolerance of
+    :func:`simulate_conditioned_chain`."""
+    ens = simulate_conditioned_chain(model, 0.0, T, n_rep, seed, burn_in=burn_in)
     ens.u = None
     return ens

@@ -22,8 +22,10 @@ def renormalize(ensemble, tail_model):
     """Map a conditioned ensemble onto the tail chain's scale.
 
     Column 0 becomes X_0 - u (exactly unit exponential); column t becomes
-    (X_t - alpha_t X_0) / X_0^beta_t, X_t - X_0, or X_t / X_0^beta_t
-    according to the tail model's norming type.
+    (X_t - alpha_t X_0) / X_0^beta_t with the tail model's norming
+    sequences.  Difference norming (alpha_t = 1, beta_t = 0) gives X_t - X_0
+    and scale-only norming (alpha_t = 0) X_t / X_0^beta_t, exactly in
+    floating point.
     """
     if ensemble.u is None:
         raise DomainError("ensemble must be conditioned (carry a threshold u)")
@@ -36,18 +38,12 @@ def renormalize(ensemble, tail_model):
     out[:, 0] = x0 - ensemble.u
     t = np.arange(1, T + 1)
     kind = tail_model.norming
-    if kind == "location-scale":
-        alpha = tail_model.alpha_seq(T)[t]
-        beta = tail_model.beta_seq(T)[t]
-        out[:, 1:] = (data[:, 1:] - alpha[None, :] * x0[:, None]) \
-            / x0[:, None] ** beta[None, :]
-    elif kind == "difference":
-        out[:, 1:] = data[:, 1:] - x0[:, None]
-    elif kind == "scale-only":
-        beta = tail_model.beta_seq(T)[t]
-        out[:, 1:] = data[:, 1:] / x0[:, None] ** beta[None, :]
-    else:
+    if kind not in ("location-scale", "difference", "scale-only"):
         raise ParameterError(f"unknown norming type {kind!r}")
+    alpha = tail_model.alpha_seq(T)[t]
+    beta = tail_model.beta_seq(T)[t]
+    out[:, 1:] = (data[:, 1:] - alpha[None, :] * x0[:, None]) \
+        / x0[:, None] ** beta[None, :]
     res = ensemble.with_data(out, norming=kind)
     res.extras["renormalized_against"] = tail_model.descriptor()
     return res

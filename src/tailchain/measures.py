@@ -53,31 +53,36 @@ class ExponentMeasure:
 
     dim = None
 
+    def _finite_margin(self, y):
+        """(margin over the columns of `y` free of +inf, those columns), or
+        (self, None) when every column is finite."""
+        finite = ~np.isposinf(y).any(axis=0)
+        if finite.all():
+            return self, None
+        keep = np.where(finite)[0]
+        if keep.size == 0:
+            raise DomainError("V at all-infinite coordinates is 0; not a valid query")
+        return self.margin(keep), keep
+
     def value(self, y):
         """V(y); +inf coordinates are marginalized out analytically."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        finite = ~np.isposinf(y).any(axis=0)
-        if not finite.all():
-            keep = np.where(finite)[0]
-            if keep.size == 0:
-                raise DomainError("V at all-infinite coordinates is 0; not a valid query")
-            return self.margin(keep).value(y[:, keep])
+        sub, keep = self._finite_margin(y)
+        if keep is not None:
+            return sub.value(y[:, keep])
         out = np.exp(self.log_value(_as_logy(y, self.dim)))
         return out if out.shape[0] > 1 else float(out[0])
 
     def partial(self, J, y):
         """Mixed partial derivative of V with respect to the coordinates in J."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        finite = ~np.isposinf(y).any(axis=0)
-        if not finite.all():
-            keep = np.where(finite)[0]
-            J = _check_subset(J, self.dim)
-            if any(j not in set(keep.tolist()) for j in J):
-                raise DomainError("cannot differentiate in a coordinate held at infinity")
-            remap = {c: i for i, c in enumerate(keep.tolist())}
-            sub = self.margin(keep)
-            return sub.partial(tuple(remap[j] for j in J), y[:, keep])
         J = _check_subset(J, self.dim)
+        sub, keep = self._finite_margin(y)
+        if keep is not None:
+            remap = {c: i for i, c in enumerate(keep.tolist())}
+            if any(j not in remap for j in J):
+                raise DomainError("cannot differentiate in a coordinate held at infinity")
+            return sub.partial(tuple(remap[j] for j in J), y[:, keep])
         out = -np.exp(self.log_abs_partial(J, _as_logy(y, self.dim)))
         return out if out.shape[0] > 1 else float(out[0])
 
@@ -242,6 +247,24 @@ class AsymLogisticMeasure(ExponentMeasure):
 # ---------------------------------------------------------------------------
 # Husler-Reiss
 
+def husler_reiss_covariance(cov):
+    """`cov` as a float array; ParameterError unless it is square, symmetric,
+    positive definite and has a common diagonal (stationary margins)."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ParameterError("covariance must be square")
+    d = cov.shape[0]
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise ParameterError("covariance must be symmetric")
+    if d > 1 and np.ptp(np.diag(cov)) > 1e-10:
+        raise ParameterError("covariance must have a common diagonal")
+    try:
+        np.linalg.cholesky(cov + 1e-13 * np.eye(d))
+    except np.linalg.LinAlgError:
+        raise ParameterError("covariance must be positive definite")
+    return cov
+
+
 class HuslerReissMeasure(ExponentMeasure):
     """Husler-Reiss exponent measure driven by a covariance matrix.
 
@@ -255,21 +278,8 @@ class HuslerReissMeasure(ExponentMeasure):
 
     def __init__(self, cov, qmc_points=2048, qmc_shifts=8, qmc_seed=0,
                  kernel_points=96):
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ParameterError("covariance must be square")
-        d = cov.shape[0]
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ParameterError("covariance must be symmetric")
-        diag = np.diag(cov)
-        if d > 1 and np.ptp(diag) > 1e-10:
-            raise ParameterError("covariance must have a common diagonal")
-        try:
-            np.linalg.cholesky(cov + 1e-13 * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise ParameterError("covariance must be positive definite")
-        self.cov = cov
-        self.dim = d
+        self.cov = husler_reiss_covariance(cov)
+        self.dim = self.cov.shape[0]
         self.qmc_points = int(qmc_points)
         self.qmc_shifts = int(qmc_shifts)
         self.qmc_seed = int(qmc_seed)
@@ -290,17 +300,22 @@ class HuslerReissMeasure(ExponentMeasure):
             self._blocks[i] = (idx, sig, shift)
         return self._blocks[i]
 
-    def log_value(self, logy):
-        parts = []
+    def _anchor_terms(self, logy):
+        """Per anchor coordinate i: (-log y_i, log Phi_{d-1} of the differences
+        against i, that CDF's quadrature error)."""
+        if self.dim == 1:
+            return [(-logy[:, 0], 0.0, 0.0)]
+        terms = []
         for i in range(self.dim):
             idx, sig, shift = self._block(i)
-            if self.dim == 1:
-                parts.append(-logy[:, 0])
-                continue
             w = logy[:, idx] - logy[:, [i]] + shift[None, :]
-            logphi, _ = mvn_logcdf(w, sig, points=self.qmc_points,
-                                   shifts=self.qmc_shifts, seed=self.qmc_seed)
-            parts.append(-logy[:, i] + logphi)
+            logphi, err = mvn_logcdf(w, sig, points=self.qmc_points,
+                                     shifts=self.qmc_shifts, seed=self.qmc_seed)
+            terms.append((-logy[:, i], logphi, err))
+        return terms
+
+    def log_value(self, logy):
+        parts = [a + logphi for a, logphi, _ in self._anchor_terms(logy)]
         return logsumexp(np.stack(parts, axis=0), axis=0)
 
     def value_with_error(self, y):
@@ -308,16 +323,9 @@ class HuslerReissMeasure(ExponentMeasure):
         logy = _as_logy(np.atleast_2d(np.asarray(y, float)), self.dim)
         vals = np.zeros(logy.shape[0])
         errs = np.zeros(logy.shape[0])
-        for i in range(self.dim):
-            idx, sig, shift = self._block(i)
-            if self.dim == 1:
-                vals += np.exp(-logy[:, 0])
-                continue
-            w = logy[:, idx] - logy[:, [i]] + shift[None, :]
-            logphi, err = mvn_logcdf(w, sig, points=self.qmc_points,
-                                     shifts=self.qmc_shifts, seed=self.qmc_seed)
-            vals += np.exp(-logy[:, i] + logphi)
-            errs += np.exp(-logy[:, i]) * err
+        for a, logphi, err in self._anchor_terms(logy):
+            vals += np.exp(a + logphi)
+            errs += np.exp(a) * err
         if vals.shape[0] == 1:
             return float(vals[0]), float(errs[0])
         return vals, errs
@@ -348,12 +356,15 @@ class HuslerReissMeasure(ExponentMeasure):
         return entry
 
     def _partial_parts(self, J, logy):
-        """(constant-plus-density part, cond limits) for log|V_J|."""
+        """Pieces of log|V_J|: (constant-plus-density part, differences w
+        against the anchor, conditional mean shift of the CDF block's limits
+        (zero when J has one coordinate), cached set-up)."""
         c = self._partial_setup(J)
         w = logy[:, c["idx"]] - logy[:, [c["i0"]]] + c["shift"][None, :]
         out = -2.0 * logy[:, c["i0"]]
         for j in J[1:]:
             out = out - logy[:, j]
+        shift_v = np.zeros((logy.shape[0], len(c["rest"])))
         if c["jp"]:
             wj = w[:, c["jp"]]
             sol = cho_solve(c["cho"], wj.T).T
@@ -361,19 +372,16 @@ class HuslerReissMeasure(ExponentMeasure):
             out = out - 0.5 * (m * np.log(2 * np.pi) + c["logdet"]) \
                       - 0.5 * np.sum(wj * sol, axis=1)
             if c["rest"]:
-                v = w[:, c["rest"]] - wj @ c["cmap"].T
-            else:
-                v = None
-        else:
-            v = w[:, c["rest"]] if c["rest"] else None
-        return out, v, c
+                shift_v = wj @ c["cmap"].T
+        return out, w, shift_v, c
 
     def log_abs_partial(self, J, logy):
         J = _check_subset(J, self.dim)
-        out, v, c = self._partial_parts(J, logy)
-        if v is not None:
-            logphi, _ = mvn_logcdf(v, c["cond_cov"], points=self.qmc_points,
-                                   shifts=self.qmc_shifts, seed=self.qmc_seed)
+        out, w, shift_v, c = self._partial_parts(J, logy)
+        if c["rest"]:
+            logphi, _ = mvn_logcdf(w[:, c["rest"]] - shift_v, c["cond_cov"],
+                                   points=self.qmc_points, shifts=self.qmc_shifts,
+                                   seed=self.qmc_seed)
             out = out + logphi
         return out
 
@@ -382,38 +390,19 @@ class HuslerReissMeasure(ExponentMeasure):
         J = _check_subset(J, self.dim)
         if self.dim - 1 in J:
             return super().partial_tail_evaluator(J, logy_head)
-        c = self._partial_setup(J)
+        # the final coordinate is a placeholder: neither the density part nor
+        # the shift reads it, and its CDF limit is formed per call below
         n = logy_head.shape[0]
-        # limits of the conditional CDF block, final original coordinate last
+        base, w, shift_v, c = self._partial_parts(
+            J, np.concatenate([logy_head, np.zeros((n, 1))], axis=1))
         rest_coords = [c["idx"][r] for r in c["rest"]]
-        head_rows = [r for r in range(len(rest_coords)) if rest_coords[r] != self.dim - 1]
-        last_row = next(r for r in range(len(rest_coords)) if rest_coords[r] == self.dim - 1)
+        last_row = rest_coords.index(self.dim - 1)
+        head_rows = [r for r in range(len(rest_coords)) if r != last_row]
         perm = head_rows + [last_row]
-        cov_perm = c["cond_cov"][np.ix_(perm, perm)]
-
+        v_head = w[:, [c["rest"][r] for r in head_rows]] - shift_v[:, head_rows]
+        cache = GenzTailCache(c["cond_cov"][np.ix_(perm, perm)], v_head,
+                              points=self.kernel_points, seed=self.qmc_seed)
         anchor = logy_head[:, c["i0"]]
-        base = -2.0 * logy_head[:, c["i0"]]
-        for j in J[1:]:
-            base = base - logy_head[:, j]
-        w_all_head = np.empty((n, self.dim - 1))
-        for r, j in enumerate(c["idx"]):
-            if j == self.dim - 1:
-                continue
-            w_all_head[:, r] = logy_head[:, j] - anchor + c["shift"][r]
-        if c["jp"]:
-            wj = w_all_head[:, c["jp"]]
-            sol = cho_solve(c["cho"], wj.T).T
-            m = len(c["jp"])
-            base = base - 0.5 * (m * np.log(2 * np.pi) + c["logdet"]) \
-                        - 0.5 * np.sum(wj * sol, axis=1)
-            shift_v = wj @ c["cmap"].T
-        else:
-            shift_v = np.zeros((n, len(c["rest"])))
-        v_head = np.empty((n, len(c["rest"]) - 1))
-        for col, r in enumerate(head_rows):
-            v_head[:, col] = w_all_head[:, c["rest"][r]] - shift_v[:, r]
-        cache = GenzTailCache(cov_perm, v_head, points=self.kernel_points,
-                              seed=self.qmc_seed)
         shift_last = c["shift"][c["rest"][last_row]]
         shift_v_last = shift_v[:, last_row]
 
@@ -433,7 +422,6 @@ class HuslerReissMeasure(ExponentMeasure):
         anchored at the final coordinate shifts all arguments together and is
         re-evaluated with a small lattice each call.
         """
-        n = logy_head.shape[0]
         d = self.dim
         caches = []
         for i in range(d - 1):
@@ -441,9 +429,8 @@ class HuslerReissMeasure(ExponentMeasure):
             pos_last = idx.index(d - 1)
             head_rows = [r for r in range(d - 1) if r != pos_last]
             perm = head_rows + [pos_last]
-            v_head = np.empty((n, d - 2))
-            for col, r in enumerate(head_rows):
-                v_head[:, col] = logy_head[:, idx[r]] - logy_head[:, i] + shift[r]
+            v_head = (logy_head[:, [idx[r] for r in head_rows]] - logy_head[:, [i]]
+                      + shift[head_rows])
             cache = GenzTailCache(sig[np.ix_(perm, perm)], v_head,
                                   points=self.kernel_points, seed=self.qmc_seed)
             caches.append((i, cache, shift[pos_last]))
@@ -488,30 +475,6 @@ class HuslerReissMeasure(ExponentMeasure):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-def logistic_exponent(y, alpha):
-    """V for the symmetric logistic family: (sum y_i^(-1/alpha))^alpha."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return LogisticMeasure(alpha, y.shape[1]).value(y)
-
-
-def husler_reiss_exponent(y, cov, with_error=False, **qmc):
-    """V for the Husler-Reiss family; optionally also the quadrature error."""
-    m = HuslerReissMeasure(cov, **qmc)
-    if with_error:
-        return m.value_with_error(y)
-    return m.value(y)
-
-
-def asym_logistic_exponent(y, params):
-    """V for the 3-d asymmetric logistic family."""
-    return AsymLogisticMeasure(params=params).value(y)
-
-
-def exponent_partial(measure, J, y):
-    """Closed-form mixed partial of V for any implemented family."""
-    return measure.partial(J, y)
-
 
 def finite_difference_partial(fn, J, y, base_step=None, richardson=True):
     """Adaptive central finite differences; the independent derivative oracle.

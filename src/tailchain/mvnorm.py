@@ -41,23 +41,33 @@ def _lattice(n_points, dim, rng):
     return np.clip(np.mod(base + shift, 1.0), 1e-16, 1.0 - 1e-16)
 
 
+def _genz_head(b, chol, logw):
+    """Sequential conditioning over the h columns of `b` (B, h) on lattice logs
+    `logw` (M, >= h): the log product of the h conditional probabilities
+    (B, M) and the h conditioned normal draws (B, M, h)."""
+    n_b, h = b.shape
+    loge = np.broadcast_to(log_ndtr(b[:, 0] / chol[0, 0])[:, None],
+                           (n_b, logw.shape[0])).copy()
+    logprod = loge.copy()
+    y = np.empty((n_b, logw.shape[0], h))
+    y[:, :, 0] = ndtri_exp(logw[None, :, 0] + loge)
+    for i in range(1, h):
+        mean_i = np.einsum("j,bmj->bm", chol[i, :i], y[:, :, :i])
+        loge = log_ndtr((b[:, i][:, None] - mean_i) / chol[i, i])
+        logprod = logprod + loge
+        y[:, :, i] = ndtri_exp(logw[None, :, i] + loge)
+    return logprod, y
+
+
 def _genz_pass(b, chol, w):
     """One lattice pass over fixed limits `b` (B, d); returns (B,) log estimates."""
-    n_b, d = b.shape
+    n_b = b.shape[0]
     total = np.full(n_b, -np.inf)
     step = max(1, int(2_000_000 / max(n_b, 1)))
     for start in range(0, w.shape[0], step):
-        wc = w[start:start + step]
-        mc = wc.shape[0]
-        logw = np.log(wc)
-        loge = np.broadcast_to(log_ndtr(b[:, 0] / chol[0, 0])[:, None], (n_b, mc)).copy()
-        logprod = loge.copy()
-        y = np.empty((n_b, mc, d - 1))
-        for i in range(1, d):
-            y[:, :, i - 1] = ndtri_exp(logw[None, :, i - 1] + loge)
-            mean_i = np.einsum("j,bmj->bm", chol[i, :i], y[:, :, :i])
-            loge = log_ndtr((b[:, i][:, None] - mean_i) / chol[i, i])
-            logprod = logprod + loge
+        logprod, y = _genz_head(b[:, :-1], chol, np.log(w[start:start + step]))
+        mean_last = np.einsum("j,bmj->bm", chol[-1, :-1], y)
+        logprod = logprod + log_ndtr((b[:, -1][:, None] - mean_last) / chol[-1, -1])
         total = np.logaddexp(total, logsumexp(logprod, axis=1))
     return total - np.log(w.shape[0])
 
@@ -160,22 +170,10 @@ class GenzTailCache:
             self.log_head = None
             return
         b = np.asarray(v_head, dtype=float) / sd[:-1]
-        n_b, mc = b.shape[0], points
-        w = _lattice(points, self.d - 1, np.random.default_rng(seed))
-        logw = np.log(w)
-        loge = np.broadcast_to(log_ndtr(b[:, 0] / chol[0, 0])[:, None], (n_b, mc)).copy()
-        logprod = loge.copy()
-        y = np.empty((n_b, mc, self.d - 1))
-        for i in range(1, self.d):
-            y[:, :, i - 1] = ndtri_exp(logw[None, :, i - 1] + loge)
-            if i == self.d - 1:
-                break
-            mean_i = np.einsum("j,bmj->bm", chol[i, :i], y[:, :, :i])
-            loge = log_ndtr((b[:, i][:, None] - mean_i) / chol[i, i])
-            logprod = logprod + loge
-        self.log_head = logprod                                    # (B, M)
+        logw = np.log(_lattice(points, self.d - 1, np.random.default_rng(seed)))
+        self.log_head, y = _genz_head(b, chol, logw)                # (B, M)
         self.mean_last = np.einsum("j,bmj->bm", chol[-1, :-1], y)  # (B, M)
-        self.n_points = mc
+        self.n_points = points
 
     def logcdf(self, v_last, rows=None):
         """Final-coordinate limits -> log Phi_d values, optionally row-subset."""

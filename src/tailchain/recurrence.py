@@ -199,6 +199,23 @@ class RecurrenceSolution:
         return out if out.shape[0] > 1 else float(out[0])
 
 
+def _solve_linear(regime, delta, coeffs, y_init, drift=0.0):
+    """Roots of x^k - c_1 x^(k-1) - ... - c_k (c_j the lag-j coefficient) and
+    the constants pinning y_0..y_{k-1}; warns when that system is ill
+    conditioned."""
+    roots = np.roots(np.concatenate([[1.0], -coeffs]))
+    reps, mult = _detect_multiplicities(roots)
+    constants, cond = _confluent_fit(reps, mult, y_init)
+    sol = RecurrenceSolution(regime=regime, delta=delta, roots=reps,
+                             multiplicities=mult, constants=constants,
+                             drift=drift, condition=cond)
+    if cond > _COND_LIMIT:
+        msg = f"confluent Vandermonde condition {cond:.3g} exceeds {_COND_LIMIT:.0e}"
+        warnings.warn(msg)
+        sol.messages.append(msg)
+    return sol
+
+
 def solve_closed_form(fam, alpha_init):
     """Characteristic-polynomial solution for finite nonzero delta.
 
@@ -211,19 +228,8 @@ def solve_closed_form(fam, alpha_init):
     if fam.delta == 0.0 or np.isinf(fam.delta):
         raise DomainError("use solve_delta_zero / solve_delta_inf for this regime")
     a0 = _check_alpha_init(alpha_init, fam.k)
-    coeffs = fam.lag_coefficients()
-    poly = np.concatenate([[1.0], -coeffs])
-    roots = np.roots(poly)
-    reps, mult = _detect_multiplicities(roots)
-    y_init = a0 ** fam.delta
-    constants, cond = _confluent_fit(reps, mult, y_init)
-    sol = RecurrenceSolution(regime="general_delta", delta=fam.delta, roots=reps,
-                             multiplicities=mult, constants=constants, condition=cond)
-    if cond > _COND_LIMIT:
-        msg = f"confluent Vandermonde condition {cond:.3g} exceeds {_COND_LIMIT:.0e}"
-        warnings.warn(msg)
-        sol.messages.append(msg)
-    return sol
+    return _solve_linear("general_delta", fam.delta, fam.lag_coefficients(),
+                         a0 ** fam.delta)
 
 
 def solve_delta_zero(fam, alpha_init):
@@ -240,19 +246,8 @@ def solve_delta_zero(fam, alpha_init):
     coeffs = fam.lag_coefficients()
     forcing = np.log(fam.c) - fam.entropy_term()
     drift = forcing / float(np.sum(np.arange(1, fam.k + 1) * coeffs))
-    poly = np.concatenate([[1.0], -coeffs])
-    roots = np.roots(poly)
-    reps, mult = _detect_multiplicities(roots)
-    y_init = np.log(a0) - drift * np.arange(fam.k)
-    constants, cond = _confluent_fit(reps, mult, y_init)
-    sol = RecurrenceSolution(regime="delta_zero", delta=0.0, roots=reps,
-                             multiplicities=mult, constants=constants,
-                             drift=drift, condition=cond)
-    if cond > _COND_LIMIT:
-        msg = f"confluent Vandermonde condition {cond:.3g} exceeds {_COND_LIMIT:.0e}"
-        warnings.warn(msg)
-        sol.messages.append(msg)
-    return sol
+    return _solve_linear("delta_zero", 0.0, coeffs,
+                         np.log(a0) - drift * np.arange(fam.k), drift=drift)
 
 
 def solve_delta_inf(fam, alpha_init, T):
@@ -303,10 +298,6 @@ class YuleWalkerFit:
     @property
     def k(self):
         return len(self.phi)
-
-    @property
-    def q_last(self):
-        return self.precision[-1, -1]
 
     def extend(self, T):
         """rho_0..rho_T via rho_t = sum_i phi_i rho_{t-i}."""

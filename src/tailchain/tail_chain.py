@@ -6,6 +6,11 @@ for the eps_t, and an initial law for (M_1..M_{k-1}).  Four closed-form
 families are implemented (Gaussian autoregressive, logistic and
 Husler-Reiss random walks, inverted-logistic pure-scale chain) plus the
 regime-switching chain driven by latent Bernoulli mode indicators.
+`TailChainModel.update_functions` holds the one t >= k check.  The two
+difference-normed families share `_DifferenceTailChain`, whose update maps
+are the location functional itself and psi_b = 1, and the scalar
+innovation laws share inverse-CDF sampling.  `simulate_hidden_tail_chain`
+raises NumericalError on non-finite path values.
 
 Windows are ordered oldest to newest throughout, matching
 :mod:`tailchain.recurrence`.
@@ -14,18 +19,25 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import expit, ndtr, ndtri
 
-from .measures import AsymLogisticMeasure
+from .measures import AsymLogisticMeasure, husler_reiss_covariance
 from .mvnorm import mvn_cdf
 from .paths import PathEnsemble
 from .recurrence import beta_sequence, gaussian_yule_walker
 from .transforms import exp_to_frechet
-from .utils import DomainError, ParameterError, logsumexp, replicate_rng
+from .utils import DomainError, NumericalError, ParameterError, logsumexp, replicate_rng
 
 
 # ---------------------------------------------------------------------------
 # innovation and initial laws (inverse-CDF sampling throughout)
 
-class NormalLaw:
+class _ScalarLaw:
+    """Inverse-CDF sampling for the scalar innovation laws."""
+
+    def sample(self, rng, n):
+        return self.quantile(rng.uniform(size=n))
+
+
+class NormalLaw(_ScalarLaw):
     def __init__(self, mean, sd):
         self.mean = float(mean)
         self.sd = float(sd)
@@ -36,11 +48,8 @@ class NormalLaw:
     def quantile(self, p):
         return self.mean + self.sd * ndtri(np.asarray(p, dtype=float))
 
-    def sample(self, rng, n):
-        return self.quantile(rng.uniform(size=n))
 
-
-class LogisticProfileLaw:
+class LogisticProfileLaw(_ScalarLaw):
     """CDF (1 + exp(-x/alpha))^(alpha - m) on R; the logistic kernel limit."""
 
     def __init__(self, alpha, m):
@@ -56,11 +65,8 @@ class LogisticProfileLaw:
         inner = np.expm1(np.log(p) / (self.alpha - self.m))
         return -self.alpha * np.log(inner)
 
-    def sample(self, rng, n):
-        return self.quantile(rng.uniform(size=n))
 
-
-class WeibullScaleLaw:
+class WeibullScaleLaw(_ScalarLaw):
     """CDF 1 - exp(-alpha x^(1/alpha)) on (0, inf); the inverted-logistic limit."""
 
     def __init__(self, alpha):
@@ -76,9 +82,6 @@ class WeibullScaleLaw:
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         return (-np.log1p(-p) / self.alpha) ** self.alpha
-
-    def sample(self, rng, n):
-        return self.quantile(rng.uniform(size=n))
 
 
 class MultivariateNormalLaw:
@@ -160,15 +163,32 @@ class _EmptyInitial:
 # ---------------------------------------------------------------------------
 # tail-chain models
 
+def _order(k):
+    if k < 1:
+        raise ParameterError("the order k must be at least 1")
+    return int(k)
+
+
+def _logistic_alpha(alpha):
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError("alpha must lie in (0,1)")
+    return float(alpha)
+
+
 class TailChainModel:
     """Base: norming descriptors plus update maps, innovation, initial law."""
 
-    kind = None
     k = None
     m0 = 0.0
     norming = None            # "location-scale" | "difference" | "scale-only"
 
     def update_functions(self, t):
+        """(psi_a, psi_b) at time t >= k; windows run oldest to newest."""
+        if t < self.k:
+            raise DomainError("update functions are defined for t >= k")
+        return self._updates(t)
+
+    def _updates(self, t):
         raise NotImplementedError
 
     def alpha_seq(self, T):
@@ -187,9 +207,6 @@ class TailChainModel:
         """The scale functional of the kernel limit (1 if none)."""
         raise NotImplementedError
 
-    def descriptor(self):
-        return self.kind
-
 
 class GaussianARTailChain(TailChainModel):
     """Scaled autoregressive limit of the Gaussian-copula chain.
@@ -199,16 +216,14 @@ class GaussianARTailChain(TailChainModel):
     psi_a(m) = rho_t sum_i (phi_i / rho_{t-i}) m_{t-i}, psi_b = rho_t.
     """
 
-    kind = "gaussian_ar"
     norming = "location-scale"
     beta = 0.5
 
-    def __init__(self, rho, horizon=512):
+    def __init__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        self.k = rho.shape[0]
+        self.k = _order(rho.shape[0])
         self.yw = gaussian_yule_walker(rho)
-        self.rho_seq = self.yw.extend(horizon)
-        self.horizon = horizon
+        self.rho_seq = self.yw.extend(self.k)
         q = self.yw.precision
         self.q_kk = q[-1, -1]
         self.innovation = NormalLaw(0.0, np.sqrt(2.0 / self.q_kk))
@@ -226,9 +241,7 @@ class GaussianARTailChain(TailChainModel):
             self.rho_seq = self.yw.extend(max(t + 1, 2 * len(self.rho_seq)))
         return self.rho_seq[t]
 
-    def update_functions(self, t):
-        if t < self.k:
-            raise DomainError("update functions are defined for t >= k")
+    def _updates(self, t):
         k = self.k
         rho_t = self._rho(t)
         coef = np.array([rho_t * self.yw.phi[k - pos - 1] / self._rho(t - k + pos)
@@ -262,34 +275,14 @@ class GaussianARTailChain(TailChainModel):
         return f"gaussian_ar(rho={np.array2string(self.yw.rho, separator=',')})"
 
 
-class LogisticLocationTailChain(TailChainModel):
-    """Random walk with a profile correction; limit of the logistic MEV chain."""
+class _DifferenceTailChain(TailChainModel):
+    """Difference norming (alpha_t = 1, beta_t = 0 for t >= 1): the location
+    update psi_a is the location functional `a_fn` itself and psi_b = 1."""
 
-    kind = "logistic_rw"
     norming = "difference"
 
-    def __init__(self, alpha, k):
-        if not (0.0 < alpha < 1.0):
-            raise ParameterError("alpha must lie in (0,1)")
-        self.alpha = float(alpha)
-        self.k = int(k)
-        self.innovation = LogisticProfileLaw(alpha, k)
-        self.initial = LogisticProfileInitial(alpha, k) if k > 1 else _EmptyInitial()
-
-    def update_functions(self, t):
-        if t < self.k:
-            raise DomainError("update functions are defined for t >= k")
-        a = self.alpha
-
-        def psi_a(window):
-            w = np.asarray(window, dtype=float)
-            return -a * logsumexp(-w / a, axis=-1)
-
-        def psi_b(window):
-            w = np.asarray(window, dtype=float)
-            return np.ones(w.shape[:-1])
-
-        return psi_a, psi_b
+    def _updates(self, t):
+        return self.a_fn, self.b_fn
 
     def alpha_seq(self, T):
         return np.ones(int(T) + 1)
@@ -299,28 +292,35 @@ class LogisticLocationTailChain(TailChainModel):
         b[0] = 1.0
         return b
 
-    def a_fn(self, window):
-        w = np.asarray(window, dtype=float)
-        return -self.alpha * logsumexp(-w / self.alpha, axis=-1)
-
     def b_fn(self, window):
         w = np.asarray(window, dtype=float)
         return np.ones(w.shape[:-1])
+
+
+class LogisticLocationTailChain(_DifferenceTailChain):
+    """Random walk with a profile correction; limit of the logistic MEV chain."""
+
+    def __init__(self, alpha, k):
+        self.alpha = _logistic_alpha(alpha)
+        self.k = _order(k)
+        self.innovation = LogisticProfileLaw(alpha, k)
+        self.initial = LogisticProfileInitial(alpha, k) if k > 1 else _EmptyInitial()
+
+    def a_fn(self, window):
+        w = np.asarray(window, dtype=float)
+        return -self.alpha * logsumexp(-w / self.alpha, axis=-1)
 
     def descriptor(self):
         return f"logistic_rw(alpha={self.alpha}, k={self.k})"
 
 
-class HuslerReissLocationTailChain(TailChainModel):
+class HuslerReissLocationTailChain(_DifferenceTailChain):
     """Linear random walk on the profile; limit of the Husler-Reiss MEV chain."""
 
-    kind = "husler_reiss_rw"
-    norming = "difference"
-
     def __init__(self, cov):
-        cov = np.asarray(cov, dtype=float)
+        cov = husler_reiss_covariance(cov)
         d = cov.shape[0]
-        self.k = d - 1
+        self.k = _order(d - 1)
         self.cov = cov
         q = np.linalg.inv(cov)
         qvec = q @ np.ones(d)
@@ -343,34 +343,8 @@ class HuslerReissLocationTailChain(TailChainModel):
         else:
             self.initial = _EmptyInitial()
 
-    def update_functions(self, t):
-        if t < self.k:
-            raise DomainError("update functions are defined for t >= k")
-        coef = self.coef
-
-        def psi_a(window):
-            return np.asarray(window, dtype=float) @ coef
-
-        def psi_b(window):
-            w = np.asarray(window, dtype=float)
-            return np.ones(w.shape[:-1])
-
-        return psi_a, psi_b
-
-    def alpha_seq(self, T):
-        return np.ones(int(T) + 1)
-
-    def beta_seq(self, T):
-        b = np.zeros(int(T) + 1)
-        b[0] = 1.0
-        return b
-
     def a_fn(self, window):
         return np.asarray(window, dtype=float) @ self.coef
-
-    def b_fn(self, window):
-        w = np.asarray(window, dtype=float)
-        return np.ones(w.shape[:-1])
 
     def descriptor(self):
         return f"husler_reiss_rw(k={self.k})"
@@ -384,27 +358,18 @@ class InvertedLogisticScaleTailChain(TailChainModel):
     scale block: with j = t mod k the newest j-1 entries are zeroed.
     """
 
-    kind = "inverted_logistic_scale"
     norming = "scale-only"
     m0 = 1.0
 
     def __init__(self, alpha, k):
-        if not (0.0 < alpha < 1.0):
-            raise ParameterError("alpha must lie in (0,1)")
-        self.alpha = float(alpha)
-        self.k = int(k)
+        self.alpha = _logistic_alpha(alpha)
+        self.k = _order(k)
         self.beta = 1.0 - alpha
         self.innovation = WeibullScaleLaw(alpha)
         self.initial = (IIDLaw(WeibullScaleLaw(alpha), k - 1)
                         if k > 1 else _EmptyInitial())
 
-    def _b(self, window):
-        w = np.asarray(window, dtype=float)
-        return np.sum(w ** (1.0 / self.alpha), axis=-1) ** (self.alpha * (1.0 - self.alpha))
-
-    def update_functions(self, t):
-        if t < self.k:
-            raise DomainError("update functions are defined for t >= k")
+    def _updates(self, t):
         k = self.k
         j = t % k
         keep = k if j == 1 else (1 if j == 0 else k - j + 1)
@@ -415,7 +380,7 @@ class InvertedLogisticScaleTailChain(TailChainModel):
 
         def psi_b(window):
             w = np.asarray(window, dtype=float)
-            return self._b(w[..., :keep])
+            return self.b_fn(w[..., :keep])
 
         return psi_a, psi_b
 
@@ -430,7 +395,8 @@ class InvertedLogisticScaleTailChain(TailChainModel):
         return np.zeros(w.shape[:-1])
 
     def b_fn(self, window):
-        return self._b(window)
+        w = np.asarray(window, dtype=float)
+        return np.sum(w ** (1.0 / self.alpha), axis=-1) ** (self.alpha * (1.0 - self.alpha))
 
     def descriptor(self):
         return f"inverted_logistic_scale(alpha={self.alpha}, k={self.k})"
@@ -439,21 +405,14 @@ class InvertedLogisticScaleTailChain(TailChainModel):
 # ---------------------------------------------------------------------------
 # operations
 
-def update_functions(model, t):
-    """(psi_a, psi_b) of `model` at time t >= k; windows oldest to newest."""
-    return model.update_functions(t)
-
-
 def finite_level_remainder(model, t, x, v):
     """Remainder of the affine update approximation at finite level v.
 
     Evaluates how far the exact norming composition at level v sits from its
     limit: r_a compares locations, r_b compares scales.  Both vanish as
     v -> inf; for exactly translation-compatible location functionals
-    (logistic, Husler-Reiss) r_a is identically zero.
+    (logistic, Husler-Reiss) r_a is identically zero.  Defined for t >= k.
     """
-    if t < model.k:
-        raise DomainError("remainders are defined for t >= k")
     x = np.asarray(x, dtype=float)
     psi_a, psi_b = model.update_functions(t)
     alpha = model.alpha_seq(t)
@@ -476,7 +435,10 @@ def finite_level_remainder(model, t, x, v):
 
 
 def simulate_hidden_tail_chain(model, T, n_rep, seed):
-    """Ensemble of the limiting chain: M_t = psi_a(window) + psi_b(window) eps_t."""
+    """Ensemble of the limiting chain: M_t = psi_a(window) + psi_b(window) eps_t.
+
+    Raises NumericalError when a path value is not finite.
+    """
     if T < model.k:
         raise ParameterError("horizon T must be at least the order k")
     rng = replicate_rng(seed, 0)
@@ -490,64 +452,10 @@ def simulate_hidden_tail_chain(model, T, n_rep, seed):
         eps = model.innovation.sample(rng, n_rep)
         window = data[:, t - k:t]
         data[:, t] = psi_a(window) + psi_b(window) * eps
+    if not np.all(np.isfinite(data)):
+        raise NumericalError(f"{model.descriptor()} produced non-finite path values")
     return PathEnsemble(data=data, u=None, seed=seed, model=model.descriptor(),
                         norming=model.norming, extras={"limit": True})
-
-
-def generic_linear_update(a_fn, b_fn, alpha_window, beta_flags, step=1e-6):
-    """Gradient-form location update for a user-supplied smooth functional.
-
-    Returns psi_a(m) = grad a(alpha_window) . (beta_flags * m) and the
-    constant psi_b = b(alpha_window); beta_flags marks which window
-    positions attain the maximal scale exponent.  Covers the general
-    unequal-exponent case that the named families never exercise.
-    """
-    alpha_window = np.asarray(alpha_window, dtype=float)
-    k = alpha_window.shape[0]
-    grad = np.empty(k)
-    for i in range(k):
-        up = alpha_window.copy()
-        dn = alpha_window.copy()
-        h = step * max(1.0, abs(alpha_window[i]))
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (a_fn(up) - a_fn(dn)) / (2.0 * h)
-    flags = np.asarray(beta_flags, dtype=float)
-    scale = float(b_fn(alpha_window))
-
-    def psi_a(window):
-        return np.asarray(window, dtype=float) @ (grad * flags)
-
-    def psi_b(window):
-        w = np.asarray(window, dtype=float)
-        return np.full(w.shape[:-1], scale)
-
-    return psi_a, psi_b
-
-
-# ---------------------------------------------------------------------------
-# variance-stabilizing transforms
-
-def lamperti_transform(values, model):
-    """Z = X^(1-beta) / (b(1_k) (1-beta)); location-only dynamics when b = a^beta."""
-    x = np.asarray(values, dtype=float)
-    beta = model.beta
-    b1 = float(model.b_fn(np.ones(model.k)))
-    return x ** (1.0 - beta) / (b1 * (1.0 - beta))
-
-
-def lamperti_inverse(values, model):
-    z = np.asarray(values, dtype=float)
-    beta = model.beta
-    b1 = float(model.b_fn(np.ones(model.k)))
-    return (z * b1 * (1.0 - beta)) ** (1.0 / (1.0 - beta))
-
-
-def log_transform(values):
-    x = np.asarray(values, dtype=float)
-    if np.any(x[np.isfinite(x)] <= 0):
-        raise DomainError("log transform requires positive path values")
-    return np.log(x)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +471,6 @@ class RegimeSwitchingTailChain:
     The chain terminates at the first pair of consecutive body states.
     """
 
-    kind = "regime_switching"
     k = 2
 
     def __init__(self, params):

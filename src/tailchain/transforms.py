@@ -5,8 +5,6 @@ evaluate in other scales, so these maps must stay accurate far into both
 tails; every route goes through log-space primitives (`log1p`, `expm1`,
 `ndtri_exp`, `log_ndtr`) instead of composing raw CDFs.
 """
-import enum
-
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
@@ -88,31 +86,3 @@ def gauss_to_exp(z):
     out = -log_ndtr(-z)
     return out if out.shape else float(out)
 
-
-class MarginalTransform(enum.Enum):
-    """Named marginal maps, as a dispatchable enum."""
-
-    EXP_TO_FRECHET_T = "exp_to_frechet_t"
-    FRECHET_T_TO_EXP = "frechet_t_to_exp"
-    EXP_TO_UNIFORM = "exp_to_uniform"
-    UNIFORM_TO_EXP = "uniform_to_exp"
-
-    def apply(self, x):
-        return _FORWARD[self](x)
-
-    def invert(self, y):
-        return _FORWARD[_INVERSE[self]](y)
-
-
-_FORWARD = {
-    MarginalTransform.EXP_TO_FRECHET_T: exp_to_frechet,
-    MarginalTransform.FRECHET_T_TO_EXP: frechet_to_exp,
-    MarginalTransform.EXP_TO_UNIFORM: exp_to_uniform,
-    MarginalTransform.UNIFORM_TO_EXP: uniform_to_exp,
-}
-_INVERSE = {
-    MarginalTransform.EXP_TO_FRECHET_T: MarginalTransform.FRECHET_T_TO_EXP,
-    MarginalTransform.FRECHET_T_TO_EXP: MarginalTransform.EXP_TO_FRECHET_T,
-    MarginalTransform.EXP_TO_UNIFORM: MarginalTransform.UNIFORM_TO_EXP,
-    MarginalTransform.UNIFORM_TO_EXP: MarginalTransform.EXP_TO_UNIFORM,
-}

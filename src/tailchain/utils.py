@@ -29,15 +29,6 @@ class RootClusterAmbiguity(RuntimeError):
         self.groupings = groupings
 
 
-def replicate_seeds(master_seed, n):
-    """Spawn `n` independent child seeds from a 64-bit master seed.
-
-    Child r is `SeedSequence(master_seed).spawn()[r]`, so streams are
-    reproducible and independent of how many workers consume them.
-    """
-    return np.random.SeedSequence(master_seed).spawn(n)
-
-
 def replicate_rng(master_seed, r):
     """Generator for replicate/chunk index `r` under `master_seed`."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(r,)))

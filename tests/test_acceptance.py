@@ -27,7 +27,7 @@ from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailCh
                                   InvertedLogisticScaleTailChain,
                                   LogisticLocationTailChain,
                                   simulate_hidden_tail_chain,
-                                  simulate_regime_tail_chain, update_functions)
+                                  simulate_regime_tail_chain)
 
 from conftest import (FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO)
 
@@ -301,7 +301,7 @@ def test_criterion_7_structural_invariants(rng):
     shift_ok = True
     for model in (LogisticLocationTailChain(FIG1_LOGISTIC_ALPHA, 5),
                   HuslerReissLocationTailChain(FIG1_HR)):
-        pa, _ = update_functions(model, 7)
+        pa, _ = model.update_functions(7)
         shift_ok &= abs(pa(mvec + 2.7) - (pa(mvec) + 2.7)) < 1e-12
 
     hr_ok = abs(HuslerReissLocationTailChain(FIG1_HR).coef.sum() - 1.0) < 1e-10
@@ -317,9 +317,9 @@ def test_criterion_7_structural_invariants(rng):
         beta_ok &= bool(np.allclose(closed, rec, rtol=1e-12, atol=0))
 
     red_ok = True
-    pa, pb = update_functions(LogisticLocationTailChain(0.4, 1), 1)
+    pa, pb = LogisticLocationTailChain(0.4, 1).update_functions(1)
     red_ok &= pa(np.zeros(1)) == 0.0 and pb(np.zeros(1)) == 1.0
-    pa, pb = update_functions(InvertedLogisticScaleTailChain(0.4, 1), 1)
+    pa, pb = InvertedLogisticScaleTailChain(0.4, 1).update_functions(1)
     red_ok &= pa(np.ones(1)) == 0.0 and pb(np.ones(1)) == 1.0
 
     elapsed = time.perf_counter() - t0

@@ -159,3 +159,29 @@ def test_validate_without_tail_chain_is_a_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "asym-logistic" in err["message"]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--kind", "gaussian-ar"], "ConfigError"),
+    (["--kind", "husler-reiss-rw"], "ConfigError"),
+    (["--kind", "logistic-rw", "--k", "0"], "ParameterError"),
+    (["--kind", "inverted-logistic-scale", "--k", "0"], "ParameterError"),
+    (["--kind", "husler-reiss-rw", "--cov-toeplitz", "1,2"], "ParameterError"),
+])
+def test_tail_chain_bad_parameters_exit_2(tmp_path, capsys, args, error):
+    code = _run(["--out", str(tmp_path), "simulate-tail-chain", *args,
+                 "--horizon", "5", "--n-rep", "10"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert not (tmp_path / "tail_chain_paths.csv").exists()
+
+
+def test_non_finite_tail_chain_exits_3(tmp_path, capsys):
+    # at alpha within 1e-13 of 1 and k = 1 the profile quantile overflows
+    code = _run(["--out", str(tmp_path), "simulate-tail-chain", "--kind", "logistic-rw",
+                 "--alpha", "0.9999999999999", "--k", "1", "--horizon", "3",
+                 "--n-rep", "10"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NumericalError"

@@ -52,7 +52,7 @@ def test_logistic_first_order_kernel_against_direct_derivative():
 def test_gaussian_median_preservation():
     from tailchain.transforms import gauss_to_exp
     m = gaussian_model(np.array([0.7]))
-    mean, _ = m.conditional_gauss([2.0])
+    mean = m.kernel_slice([2.0]).mean[0]     # next-state mean in Gaussian margins
     assert kernel_cdf(m, [2.0], gauss_to_exp(np.array([mean]))[0]) == \
         pytest.approx(0.5, abs=1e-12)
 
@@ -122,7 +122,8 @@ def test_gaussian_sampling_has_exact_conditional_law():
     state = np.array([9.0, 6.0, 5.0, 4.0, 3.5])
     n = 50_000
     xs = kernel_sample(m, np.tile(state, (n, 1)), np.random.default_rng(5))
-    mean, sd = m.conditional_gauss(state)
+    sl = m.kernel_slice(state)
+    mean, sd = sl.mean[0], sl.sd
     z = exp_to_gauss(xs)
     assert abs(z.mean() - mean) < 3 * sd / np.sqrt(n)
     assert abs(z.var(ddof=1) - sd ** 2) < 3 * sd ** 2 * np.sqrt(2.0 / n)

@@ -4,16 +4,14 @@ from scipy.stats import kstest, norm
 
 from tailchain.kernels import asym_logistic_model, gaussian_model, kernel_cdf
 from tailchain.mc_lab import renormalize
-from tailchain.measures import AsymLogisticParams
+from tailchain.measures import AsymLogisticParams, finite_difference_partial
 from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                                   InvertedLogisticScaleTailChain,
                                   LogisticLocationTailChain,
                                   RegimeSwitchingTailChain, finite_level_remainder,
-                                  generic_linear_update, lamperti_inverse,
-                                  lamperti_transform, log_transform,
                                   simulate_hidden_tail_chain,
-                                  simulate_regime_tail_chain, update_functions)
-from tailchain.utils import DomainError
+                                  simulate_regime_tail_chain)
+from tailchain.utils import DomainError, ParameterError
 
 from conftest import FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO
 
@@ -27,14 +25,14 @@ SKEW_PARAMS = AsymLogisticParams(0.4, 0.35, 0.4, 0.25, 0.2, 0.15, 0.35, 0.6, 0.5
 def test_update_requires_t_at_least_k():
     model = LogisticLocationTailChain(0.4, 3)
     with pytest.raises(DomainError):
-        update_functions(model, 2)
+        model.update_functions(2)
 
 
 def test_location_updates_are_translation_equivariant():
     m = np.array([0.3, -1.0, 0.5, -0.2, 0.1])
     for model in [LogisticLocationTailChain(FIG1_LOGISTIC_ALPHA, 5),
                   HuslerReissLocationTailChain(FIG1_HR)]:
-        psi_a, psi_b = update_functions(model, 7)
+        psi_a, psi_b = model.update_functions(7)
         shift = psi_a(m + 3.3) - (psi_a(m) + 3.3)
         assert abs(shift) < 1e-12
         assert psi_b(m) == pytest.approx(1.0, abs=0)
@@ -45,17 +43,31 @@ def test_husler_reiss_unit_row_identity():
     assert model.coef.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LogisticLocationTailChain(0.4, 0),
+    lambda: InvertedLogisticScaleTailChain(0.4, 0),
+    lambda: GaussianARTailChain(np.array([])),
+    lambda: HuslerReissLocationTailChain(np.eye(1)),                      # k = 0
+    lambda: HuslerReissLocationTailChain(np.ones((2, 3))),                # not square
+    lambda: HuslerReissLocationTailChain(np.array([[1.0, 0.5], [0.2, 1.0]])),
+    lambda: HuslerReissLocationTailChain(np.array([[1.0, 2.0], [2.0, 1.0]])),  # not PD
+])
+def test_constructors_reject_invalid_parameters(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 def test_first_order_reduction():
     # at k = 1 the kernel functionals coincide with the base normings, so
     # psi_a vanishes at the anchor and psi_b is unity
-    pa, pb = update_functions(LogisticLocationTailChain(0.4, 1), 1)
+    pa, pb = LogisticLocationTailChain(0.4, 1).update_functions(1)
     assert pa(np.array([0.0])) == pytest.approx(0.0, abs=0)
     assert pb(np.array([0.0])) == pytest.approx(1.0, abs=0)
-    pa, pb = update_functions(HuslerReissLocationTailChain(
-        np.array([[1.0, 0.6], [0.6, 1.0]])), 1)
+    pa, pb = HuslerReissLocationTailChain(
+        np.array([[1.0, 0.6], [0.6, 1.0]])).update_functions(1)
     assert pa(np.array([0.0])) == pytest.approx(0.0, abs=0)
     assert pb(np.array([0.0])) == pytest.approx(1.0, abs=0)
-    pa, pb = update_functions(InvertedLogisticScaleTailChain(0.4, 1), 1)
+    pa, pb = InvertedLogisticScaleTailChain(0.4, 1).update_functions(1)
     assert pa(np.array([1.0])) == pytest.approx(0.0, abs=0)
     assert pb(np.array([1.0])) == pytest.approx(1.0, abs=0)
 
@@ -66,21 +78,23 @@ def test_gaussian_ar1_update():
     rho = 0.7
     model = GaussianARTailChain(np.array([rho]))
     for t in (1, 5):
-        pa, pb = update_functions(model, t)
+        pa, pb = model.update_functions(t)
         assert pa(np.array([2.0])) == pytest.approx(rho ** 2 * 2.0, rel=1e-12)
         assert pb(np.array([2.0])) == pytest.approx(rho ** t, rel=1e-12)
 
 
 def test_gaussian_gradient_form_matches_generic():
+    # psi_a is the gradient of the location functional at the slope window
+    # (finite differences as the oracle) and psi_b its scale functional there
     model = GaussianARTailChain(FIG1_RHO)
     t = 7
     alpha_window = model.alpha_seq(t)[t - 5:t]
-    pa_g, pb_g = generic_linear_update(model.a_fn, model.b_fn, alpha_window,
-                                       np.ones(5))
-    pa, pb = update_functions(model, t)
+    grad = np.array([finite_difference_partial(model.a_fn, (i,), alpha_window)
+                     for i in range(5)])
+    pa, pb = model.update_functions(t)
     m = np.array([0.3, -1.0, 0.5, -0.2, 0.1])
-    assert pa(m) == pytest.approx(pa_g(m), rel=1e-5)
-    assert pb(m) == pytest.approx(pb_g(m), rel=1e-10)
+    assert pa(m) == pytest.approx(grad @ m, rel=1e-5)
+    assert pb(m) == pytest.approx(float(model.b_fn(alpha_window)), rel=1e-10)
 
 
 def test_inverted_scale_update_case_split():
@@ -91,11 +105,11 @@ def test_inverted_scale_update_case_split():
     def b(u):
         return np.sum(u ** (1 / a)) ** (a * (1 - a))
 
-    _, pb = update_functions(model, 6)     # mod 1: all five
+    _, pb = model.update_functions(6)     # mod 1: all five
     assert pb(m) == pytest.approx(b(m), rel=1e-12)
-    _, pb = update_functions(model, 8)     # mod 3: oldest three
+    _, pb = model.update_functions(8)     # mod 3: oldest three
     assert pb(m) == pytest.approx(b(m[:3]), rel=1e-12)
-    _, pb = update_functions(model, 10)    # mod 0: oldest one
+    _, pb = model.update_functions(10)    # mod 0: oldest one
     assert pb(m) == pytest.approx(b(m[:1]), rel=1e-12)
 
 
@@ -227,24 +241,6 @@ def test_simulation_is_deterministic():
 # ---------------------------------------------------------------------------
 # transforms
 
-def test_lamperti_round_trip_and_identity():
-    model = InvertedLogisticScaleTailChain(0.3, 3)
-    x = np.abs(np.random.default_rng(5).standard_normal((10, 4))) + 0.1
-    z = lamperti_transform(x, model)
-    assert np.max(np.abs(lamperti_inverse(z, model) - x)) < 1e-12
-
-    class Identity:
-        k = 3
-        beta = 0.0
-
-        def b_fn(self, w):
-            return np.ones(np.shape(w)[:-1])
-
-    assert np.allclose(lamperti_transform(x, Identity()), x)
-    with pytest.raises(DomainError):
-        log_transform(np.array([1.0, -2.0]))
-
-
 def test_lamperti_location_only_dynamics():
     # with b = a^beta the transformed chain has a t-free innovation scale
     # 1/b(1_k): residual spread after the location update, put on the
@@ -255,7 +251,7 @@ def test_lamperti_location_only_dynamics():
     b1 = float(model.b_fn(np.ones(5)))
     scales = []
     for t in range(6, 38):
-        psi_a, _ = update_functions(model, t)
+        psi_a, _ = model.update_functions(t)
         resid = (ens.data[:, t] - psi_a(ens.data[:, t - 5:t])) \
             * alpha[t] ** (-model.beta) / b1
         scales.append(resid.std())
