@@ -12,7 +12,9 @@ Both max-stable kinds share one slice, `_PartitionSlice`; its denominator is
 the numerator at next state +inf, evaluated exactly.  Partition sums run
 entirely in log space: every partition term is nonnegative because mixed
 partials of valid exponent measures are nonpositive, so the sums are
-cancellation-free, and zero partials are masked rather than multiplied.
+cancellation-free, and a zero partial's -inf log term needs no mask.  A
+partition slice's CDF value for a row depends on that row's states and
+argument alone.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF with a vectorized bracketed secant/bisection hybrid that fails
 loudly on non-finite CDF values; the Gaussian kernel inverts exactly.
@@ -74,7 +76,8 @@ def set_partitions(n):
 
 
 class _PartitionScheme:
-    """Incidence structure for partition sums over subsets of {0..k-1}."""
+    """Partitions of {0..k-1} as rows of indices into `subsets`, padded with
+    len(subsets), an exact-zero term in `log_sum`."""
 
     def __init__(self, k):
         self.k = k
@@ -82,24 +85,23 @@ class _PartitionScheme:
         subsets = sorted({j for p in self.partitions for j in p})
         self.subsets = tuple(subsets)
         index = {j: i for i, j in enumerate(subsets)}
-        self.incidence = np.zeros((len(self.partitions), len(subsets)))
+        pad = max(len(p) for p in self.partitions)
+        self.blocks = np.full((len(self.partitions), pad), len(subsets))
         for r, p in enumerate(self.partitions):
-            for j in p:
-                self.incidence[r, index[j]] += 1.0
+            self.blocks[r, :len(p)] = [index[j] for j in p]
 
     def log_sum(self, log_terms):
-        """log sum over partitions of prod_{J in p} |V_J|.
-
-        `log_terms` has shape (n_subsets, batch).  A zero partial (log term
-        -inf) zeroes every partition that uses it; it is masked out of the
-        product rather than multiplied, since 0 * -inf is NaN.
-        """
-        zero = np.isneginf(log_terms)
-        if not zero.any():
-            return logsumexp(self.incidence @ log_terms, axis=0)
-        log_parts = self.incidence @ np.where(zero, 0.0, log_terms)
-        log_parts[(self.incidence @ zero) > 0] = -np.inf
-        return logsumexp(log_parts, axis=0)
+        """log sum over partitions of prod_{J in p} |V_J| for `log_terms`
+        (n_subsets, rows).  Each partition adds its block terms in a fixed
+        order (a zero partial's -inf log term stays -inf, so nothing is
+        masked), and each row then reduces its own partition terms along a
+        C-ordered last axis, which numpy sums in the same order for one row
+        as for many: a row's sum does not depend on the other rows."""
+        padded = np.concatenate([log_terms, np.zeros((1, log_terms.shape[1]))])
+        log_parts = padded[self.blocks[:, 0]]
+        for b in range(1, self.blocks.shape[1]):
+            log_parts += padded[self.blocks[:, b]]
+        return logsumexp(np.ascontiguousarray(log_parts.T), axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,7 +217,7 @@ class _PartitionSlice:
         self.k = k = measure.dim - 1
         states, _ = as_batch(states, k)
         self.n = states.shape[0]
-        self.state_max = float(states.max())
+        self.state_max = states.max(axis=1)
         self.scheme = _scheme(k)
         logy = self._arg(states)
         self.partial_evs = [measure.partial_tail_evaluator(J, logy)
@@ -385,11 +387,11 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
 
     A coarse fixed grid localizes each root first; refinement then solves
     cdf(x) = prob per row to probability tolerance `tol`.  Support is the
-    positive half-line, so the lower bracket never fails.  The upper bracket
-    is BRACKET_HIGH above the largest conditioning state (the conditional
-    mass beyond that is below 1e-26 for every implemented family); failure
-    there signals parameter pathology.  Non-finite CDF values raise
-    NumericalError.
+    positive half-line, so the lower bracket never fails.  Each row's upper
+    bracket is BRACKET_HIGH above its own largest conditioning state (the
+    conditional mass beyond that is below 1e-26 for every implemented
+    family); failure there signals parameter pathology.  Non-finite CDF
+    values raise NumericalError.  A row's quantile depends on that row alone.
     """
     def finite(f):
         if not np.all(np.isfinite(f)):
@@ -399,9 +401,7 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL, max_iter=200):
     prob = np.clip(np.asarray(prob, dtype=float), 1e-300, 1.0 - 1e-16)
     n = prob.shape[0]
     cap = BRACKET_HIGH + getattr(sl, "state_max", 0.0)
-    grid = np.outer(np.atleast_1d(cap), _GRID_FRACTIONS)  # (n or 1, G)
-    if grid.shape[0] == 1:
-        grid = np.broadcast_to(grid, (n, _GRID_FRACTIONS.size))
+    grid = np.broadcast_to(np.outer(cap, _GRID_FRACTIONS), (n, _GRID_FRACTIONS.size))
     grid_f = np.stack([finite(sl.cdf(grid[:, i])) for i in range(grid.shape[1])], axis=1)
     pos = (grid_f < prob[:, None]).sum(axis=1)
     if np.any(pos == _GRID_FRACTIONS.size):

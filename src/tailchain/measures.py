@@ -372,7 +372,8 @@ class HuslerReissMeasure(ExponentMeasure):
             out = out - 0.5 * (m * np.log(2 * np.pi) + c["logdet"]) \
                       - 0.5 * np.sum(wj * sol, axis=1)
             if c["rest"]:
-                shift_v = wj @ c["cmap"].T
+                # wj @ cmap.T in a fixed order (BLAS rounding varies with rows)
+                shift_v = sum(wj[:, [r]] * c["cmap"][:, r] for r in range(m))
         return out, w, shift_v, c
 
     def log_abs_partial(self, J, logy):
@@ -443,31 +444,28 @@ class HuslerReissMeasure(ExponentMeasure):
                 anchor = head[:, i]
                 lc = cache.logcdf(logy_last - anchor + sh, rows=rows)
                 total += np.exp(-anchor + lc)
-            # the last-anchor term is exactly 0 where the final coordinate is +inf
-            live = ~np.isposinf(logy_last)
-            if np.any(live):
-                w = head[live][:, idx_l] - logy_last[live, None] + shift_l[None, :]
-                logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
-                                       shifts=1, seed=self.qmc_seed)
-                total[live] += np.exp(-logy_last[live] + logphi)
-            return total
+            # a +inf final coordinate gives -inf limits, so this term is 0
+            w = head[:, idx_l] - logy_last[:, None] + shift_l[None, :]
+            logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
+                                   shifts=1, seed=self.qmc_seed)
+            return total + np.exp(-logy_last + logphi)
         return evaluate
+
+    def _copy(self, cov, **changes):
+        """The measure of `cov` with these quadrature settings, except the
+        non-None `changes`."""
+        settings = dict(qmc_points=self.qmc_points, qmc_shifts=self.qmc_shifts,
+                        qmc_seed=self.qmc_seed, kernel_points=self.kernel_points)
+        settings.update((k, v) for k, v in changes.items() if v is not None)
+        return HuslerReissMeasure(cov, **settings)
 
     def margin(self, coords):
         coords = list(coords)
-        return HuslerReissMeasure(self.cov[np.ix_(coords, coords)],
-                                  qmc_points=self.qmc_points,
-                                  qmc_shifts=self.qmc_shifts,
-                                  qmc_seed=self.qmc_seed,
-                                  kernel_points=self.kernel_points)
+        return self._copy(self.cov[np.ix_(coords, coords)])
 
     def with_accuracy(self, qmc_points=None, qmc_shifts=None, kernel_points=None):
-        return HuslerReissMeasure(
-            self.cov,
-            qmc_points=self.qmc_points if qmc_points is None else qmc_points,
-            qmc_shifts=self.qmc_shifts if qmc_shifts is None else qmc_shifts,
-            qmc_seed=self.qmc_seed,
-            kernel_points=self.kernel_points if kernel_points is None else kernel_points)
+        return self._copy(self.cov, qmc_points=qmc_points, qmc_shifts=qmc_shifts,
+                          kernel_points=kernel_points)
 
     def descriptor(self):
         return f"husler_reiss(dim={self.dim})"

@@ -4,6 +4,10 @@ Sequential separation-of-variables (Genz-style) evaluation on a Richtmyer
 lattice with random shifts.  Everything runs in log space so probabilities
 deep in the joint tail keep relative accuracy; the returned error estimate
 is on the natural probability scale.
+
+A row's value depends on its own limits, the covariance and the lattice
+alone: each row orders its own variables, +inf limits are marginalized per
+row, and rows are blocked by a count fixed by the lattice size.
 """
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -11,6 +15,7 @@ from scipy.special import log_ndtr, ndtri_exp
 from .utils import DomainError, ParameterError, logsumexp
 
 _PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], dtype=float)
+_BLOCK_ENTRIES = 2_000_000   # rows x lattice points per block: bounds memory
 
 
 def _corr_cholesky(cov):
@@ -31,7 +36,7 @@ def _corr_cholesky(cov):
         w = np.clip(w, 1e-12, None)
         corr = (v * w) @ v.T
         chol = np.linalg.cholesky(corr)
-    return sd, chol
+    return sd, corr, chol
 
 
 def _lattice(n_points, dim, rng):
@@ -42,55 +47,73 @@ def _lattice(n_points, dim, rng):
 
 
 def _genz_head(b, chol, logw):
-    """Sequential conditioning over the h columns of `b` (B, h) on lattice logs
-    `logw` (M, >= h): the log product of the h conditional probabilities
-    (B, M) and the h conditioned normal draws (B, M, h)."""
+    """Sequential conditioning over the h columns of `b` (B, h), with per-row
+    Cholesky factors `chol` (B, h + 1, h + 1), on lattice logs `logw`
+    (M, >= h): the log product of the h conditional probabilities (B, M) and
+    the conditional mean of coordinate h given the h draws (B, M)."""
     n_b, h = b.shape
-    loge = np.broadcast_to(log_ndtr(b[:, 0] / chol[0, 0])[:, None],
-                           (n_b, logw.shape[0])).copy()
-    logprod = loge.copy()
+    logprod = np.zeros((n_b, logw.shape[0]))
+    mean = np.zeros((n_b, logw.shape[0]))
     y = np.empty((n_b, logw.shape[0], h))
-    y[:, :, 0] = ndtri_exp(logw[None, :, 0] + loge)
-    for i in range(1, h):
-        mean_i = np.einsum("j,bmj->bm", chol[i, :i], y[:, :, :i])
-        loge = log_ndtr((b[:, i][:, None] - mean_i) / chol[i, i])
+    for i in range(h):
+        loge = log_ndtr((b[:, i][:, None] - mean) / chol[:, i, i][:, None])
         logprod = logprod + loge
         y[:, :, i] = ndtri_exp(logw[None, :, i] + loge)
-    return logprod, y
+        mean = np.einsum("bj,bmj->bm", chol[:, i + 1, :i + 1], y[:, :, :i + 1])
+    return logprod, mean
 
 
 def _genz_pass(b, chol, w):
     """One lattice pass over fixed limits `b` (B, d); returns (B,) log estimates."""
-    n_b = b.shape[0]
-    total = np.full(n_b, -np.inf)
-    step = max(1, int(2_000_000 / max(n_b, 1)))
-    for start in range(0, w.shape[0], step):
-        logprod, y = _genz_head(b[:, :-1], chol, np.log(w[start:start + step]))
-        mean_last = np.einsum("j,bmj->bm", chol[-1, :-1], y)
-        logprod = logprod + log_ndtr((b[:, -1][:, None] - mean_last) / chol[-1, -1])
-        total = np.logaddexp(total, logsumexp(logprod, axis=1))
-    return total - np.log(w.shape[0])
+    logw = np.log(w)
+    step = max(1, _BLOCK_ENTRIES // w.shape[0])
+    out = np.empty(b.shape[0])
+    for start in range(0, b.shape[0], step):
+        blk, c = b[start:start + step], chol[start:start + step]
+        logprod, mean = _genz_head(blk[:, :-1], c, logw)
+        logprod = logprod + log_ndtr((blk[:, -1][:, None] - mean) / c[:, -1, -1][:, None])
+        out[start:start + step] = logsumexp(logprod, axis=1)
+    return out - np.log(w.shape[0])
 
 
-def mvn_logcdf(upper, cov, points=2048, shifts=8, seed=0, target_error=None,
-               max_points=131072):
-    """log P(Z <= upper) for Z ~ N(0, cov), batched over leading axes.
+def _finite_logcdf(b, corr, points, shifts, seed):
+    """(log P, error) for rows of finite standardized limits `b` (B, d) under
+    correlation `corr`.  Each row takes its variables most-truncating first,
+    in the order of its own limits (Genz & Bretz's simple reordering), with
+    its own Cholesky factor."""
+    if b.shape[1] == 1:
+        return log_ndtr(b[:, 0]), np.zeros(b.shape[0])
+    order = np.argsort(b, axis=1, kind="stable")
+    b = np.take_along_axis(b, order, axis=1)
+    chol = np.linalg.cholesky(corr[order[:, :, None], order[:, None, :]])
+    rng = np.random.default_rng(seed)
+    # (rows, shifts), C-ordered: each row reduces its own shifts contiguously
+    per_shift = np.stack([_genz_pass(b, chol, _lattice(points, b.shape[1] - 1, rng))
+                          for _ in range(shifts)], axis=1)
+    logp = logsumexp(per_shift, axis=1) - np.log(shifts)
+    if shifts < 2:
+        return logp, np.full(b.shape[0], np.nan)
+    return logp, 3.5 * np.exp(per_shift).std(axis=1, ddof=1) / np.sqrt(shifts)
+
+
+def mvn_logcdf(upper, cov, points=2048, shifts=8, seed=0):
+    """log P(Z <= upper) for Z ~ N(0, cov), batched over leading axes; each
+    row's result is independent of the other rows.
 
     Parameters
     ----------
-    upper : array (..., d); entries may be +inf (marginalized out when the
-        whole batch shares them)
+    upper : array (..., d); +inf entries are marginalized out of their row,
+        and a row with a -inf entry has log-probability -inf
     cov : (d, d) positive definite
     points, shifts : lattice size and number of random shifts
     seed : seed of the shift stream; a fixed seed makes the value a
         deterministic smooth function of `upper`
-    target_error : optional absolute accuracy; the lattice is refined
-        (up to `max_points`) until the estimate drops below it
 
     Returns
     -------
     (logp, err) with shapes (...,); `err` estimates the absolute error of
-    exp(logp) as 3.5 standard errors over the random shifts.
+    exp(logp) as 3.5 standard errors over the random shifts (NaN with one
+    shift, 0 where the value is exact).
     """
     upper = np.asarray(upper, dtype=float)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -99,55 +122,30 @@ def mvn_logcdf(upper, cov, points=2048, shifts=8, seed=0, target_error=None,
         raise DomainError(f"upper must have last dimension {d}")
     if np.any(np.isnan(upper)):
         raise DomainError("upper contains NaN")
+    sd, corr, _ = _corr_cholesky(cov)
 
     batch_shape = upper.shape[:-1]
-    b2 = upper.reshape(-1, d)
-    at_inf = np.all(np.isposinf(b2), axis=0)
-    if np.any(at_inf):
-        keep = np.where(~at_inf)[0]
-        if keep.size == 0:
-            z = np.zeros(batch_shape)
-            return z, np.zeros(batch_shape)
-        logp, err = mvn_logcdf(b2[:, keep], cov[np.ix_(keep, keep)],
-                               points=points, shifts=shifts, seed=seed,
-                               target_error=target_error, max_points=max_points)
-        return logp.reshape(batch_shape), err.reshape(batch_shape)
-
-    sd, chol = _corr_cholesky(cov)
-    b2 = b2 / sd
-    if d == 1:
-        logp = log_ndtr(b2[:, 0])
-        return logp.reshape(batch_shape), np.zeros(batch_shape)
-
-    # most-truncating variables first (mean-limit ordering across the batch)
-    perm = np.argsort(np.where(np.isposinf(b2), 40.0, b2).mean(axis=0))
-    corr = (cov / np.outer(sd, sd))[np.ix_(perm, perm)]
-    chol = _corr_cholesky(corr)[1]
-    b2 = b2[:, perm]
-
-    while True:
-        rng = np.random.default_rng(seed)
-        per_shift = np.empty((shifts, b2.shape[0]))
-        for s in range(shifts):
-            per_shift[s] = _genz_pass(b2, chol, _lattice(points, d - 1, rng))
-        logp = logsumexp(per_shift, axis=0) - np.log(shifts)
-        if shifts > 1:
-            vals = np.exp(per_shift)
-            err = 3.5 * vals.std(axis=0, ddof=1) / np.sqrt(shifts)
-        else:
-            err = np.full(b2.shape[0], np.nan)
-        if (target_error is None or shifts < 2 or points >= max_points
-                or np.all(err <= target_error)):
-            break
-        points *= 4
+    b2 = upper.reshape(-1, d) / sd
+    logp = np.zeros(b2.shape[0])
+    err = np.zeros(b2.shape[0])
+    empty = np.isneginf(b2).any(axis=1)
+    logp[empty] = -np.inf
+    free = np.isposinf(b2)
+    # rows sharing a +inf pattern are evaluated together on their margin
+    pattern = np.where(empty, -1, free @ (1 << np.arange(d)))
+    for code in np.unique(pattern[~empty]):
+        rows = np.where(pattern == code)[0]
+        keep = np.where(~free[rows[0]])[0]
+        if keep.size:
+            logp[rows], err[rows] = _finite_logcdf(b2[np.ix_(rows, keep)],
+                                                   corr[np.ix_(keep, keep)],
+                                                   points, shifts, seed)
     return logp.reshape(batch_shape), err.reshape(batch_shape)
 
 
-def mvn_cdf(upper, cov, points=2048, shifts=8, seed=0, target_error=None,
-            max_points=131072):
+def mvn_cdf(upper, cov, points=2048, shifts=8, seed=0):
     """Natural-scale wrapper around :func:`mvn_logcdf`."""
-    logp, err = mvn_logcdf(upper, cov, points=points, shifts=shifts, seed=seed,
-                           target_error=target_error, max_points=max_points)
+    logp, err = mvn_logcdf(upper, cov, points=points, shifts=shifts, seed=seed)
     return np.exp(logp), err
 
 
@@ -163,7 +161,7 @@ class GenzTailCache:
     def __init__(self, cov, v_head, points=96, seed=0):
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         self.d = cov.shape[0]
-        sd, chol = _corr_cholesky(cov)
+        sd, _, chol = _corr_cholesky(cov)
         self.sd = sd
         self.chol = chol
         if self.d == 1:
@@ -171,8 +169,8 @@ class GenzTailCache:
             return
         b = np.asarray(v_head, dtype=float) / sd[:-1]
         logw = np.log(_lattice(points, self.d - 1, np.random.default_rng(seed)))
-        self.log_head, y = _genz_head(b, chol, logw)                # (B, M)
-        self.mean_last = np.einsum("j,bmj->bm", chol[-1, :-1], y)  # (B, M)
+        self.log_head, self.mean_last = _genz_head(                 # (B, M) each
+            b, np.broadcast_to(chol, (b.shape[0],) + chol.shape), logw)
         self.n_points = points
 
     def logcdf(self, v_last, rows=None):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
-from tailchain.kernels import (MAX_ORDER, _invert_slice, asym_logistic_model,
-                               gaussian_model, husler_reiss_model,
+from tailchain.kernels import (DEFAULT_PROB_TOL, MAX_ORDER, _invert_slice,
+                               asym_logistic_model, gaussian_model, husler_reiss_model,
                                inverted_logistic_model, kernel_cdf,
                                kernel_quantile, kernel_sample, logistic_model,
                                sample_initial_conditioned, set_partitions,
@@ -13,7 +13,7 @@ from tailchain.measures import AsymLogisticMeasure, AsymLogisticParams
 from tailchain.transforms import exp_to_frechet, exp_to_gauss
 from tailchain.utils import BracketError, DomainError, NumericalError, ParameterError
 
-from conftest import FIG1_RHO
+from conftest import FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO
 
 FIG2_PARAMS = AsymLogisticParams(0.3, 0.3, 0.3, 0.3, 0.3, 0.1, 0.5, 0.5, 0.5)
 
@@ -202,6 +202,53 @@ def test_stationarity_smoke(maker):
     ens = simulate_stationary_chain(m, m.k + 1, 40_000, seed=17, burn_in=10)
     stat = kstest(ens.data[:, m.k], expon.cdf).statistic
     assert stat < 0.01
+
+
+# k = 5 (k = 2 for the asymmetric logistic) models of every family
+_CONTRACT_MODELS = {
+    "gaussian": lambda: gaussian_model(FIG1_RHO),
+    "logistic": lambda: logistic_model(FIG1_LOGISTIC_ALPHA, 5),
+    "inverted-logistic": lambda: inverted_logistic_model(FIG1_INVERTED_ALPHA, 5),
+    "husler-reiss": lambda: husler_reiss_model(FIG1_HR),
+    "asym-logistic": lambda: asym_logistic_model(FIG2_PARAMS),
+}
+
+
+def _contract_inputs(m, n, seed):
+    rng = np.random.default_rng(seed)
+    states = 3.0 + 2.0 * rng.exponential(size=(n, m.k))
+    return rng, states, 0.05 + 2.0 * rng.exponential(size=n)
+
+
+@pytest.mark.parametrize("grade", ["sampling", "accurate"])
+@pytest.mark.parametrize("family", list(_CONTRACT_MODELS))
+def test_slice_rows_do_not_depend_on_their_batch(family, grade):
+    # a row subset of a slice gives that subset's rows of the whole batch, as
+    # the refinement of _invert_slice evaluates the rows still active
+    m = _CONTRACT_MODELS[family]()
+    rng, states, x = _contract_inputs(m, 40, 1)
+    sl = m.kernel_slice(states, grade=grade)
+    full = sl.cdf(x)
+    for size in (1, 7, 23):
+        sub = np.sort(rng.choice(40, size=size, replace=False))
+        assert np.array_equal(sl.cdf(x[sub], rows=sub), full[sub])
+
+
+@pytest.mark.parametrize("grade", ["sampling", "accurate"])
+@pytest.mark.parametrize("family", [f for f in _CONTRACT_MODELS if f != "gaussian"])
+def test_kernel_cdf_and_quantile_row_by_row_equal_the_batch(family, grade):
+    # the Gaussian kernel is left out: its conditional mean is one BLAS
+    # matrix-vector product over the batch, kept for its sampled bytes
+    m = _CONTRACT_MODELS[family]()
+    rng, states, x = _contract_inputs(m, 12, 2)
+    batch = kernel_cdf(m, states, x, grade=grade)
+    assert np.array_equal([kernel_cdf(m, s, xi, grade=grade) for s, xi in zip(states, x)],
+                          batch)
+    p = rng.uniform(size=12)
+    tol = 1e-5 if grade == "sampling" else DEFAULT_PROB_TOL
+    q = kernel_quantile(m, states, p, tol=tol, grade=grade)
+    assert np.array_equal([kernel_quantile(m, s, pi, tol=tol, grade=grade)
+                           for s, pi in zip(states, p)], q)
 
 
 def test_log_space_partition_sums_match_naive():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.stats import multivariate_normal
 
 from tailchain.mvnorm import GenzTailCache, mvn_cdf, mvn_logcdf
@@ -17,7 +18,7 @@ def _random_corr(rng, d):
 def test_against_scipy(rng, d):
     cov = _random_corr(rng, d)
     b = rng.standard_normal((6, d)) * 1.3
-    p, err = mvn_cdf(b, cov, points=4096, shifts=8, target_error=1e-6)
+    p, err = mvn_cdf(b, cov, points=65536, shifts=8)
     ref = np.array([multivariate_normal.cdf(row, mean=np.zeros(d), cov=cov,
                                             abseps=1e-10, maxpts=2_000_000 * d)
                     for row in b])
@@ -26,16 +27,56 @@ def test_against_scipy(rng, d):
     assert np.all(np.abs(p - ref) < np.maximum(5 * err, 5e-6))
 
 
+def _scipy_margin_cdf(b, cov):
+    keep = np.where(~np.isposinf(b))[0]
+    return multivariate_normal.cdf(b[keep], mean=np.zeros(keep.size),
+                                   cov=cov[np.ix_(keep, keep)],
+                                   abseps=1e-10, maxpts=1_000_000)
+
+
 def test_marginalizes_infinite_limits(rng):
     cov = _random_corr(rng, 4)
     b = np.array([0.3, np.inf, -0.2, np.inf])
     p, _ = mvn_cdf(b, cov, points=4096, shifts=8)
-    ref = multivariate_normal.cdf(b[[0, 2]], mean=np.zeros(2),
-                                  cov=cov[np.ix_([0, 2], [0, 2])],
-                                  abseps=1e-10, maxpts=1_000_000)
-    assert p == pytest.approx(ref, abs=5e-6)
+    assert p == pytest.approx(_scipy_margin_cdf(b, cov), abs=5e-6)
     p_all, _ = mvn_cdf(np.full(4, np.inf), cov)
     assert p_all == pytest.approx(1.0)
+    # each row is marginalized over its own +inf coordinates
+    mixed = np.array([[0.3, np.inf, -0.2, np.inf],
+                      [np.inf, 0.5, 0.1, -0.4],
+                      [0.2, -0.1, 0.4, 0.0],
+                      [np.inf, np.inf, np.inf, 0.7],
+                      [np.inf, np.inf, np.inf, np.inf],
+                      [-0.3, np.inf, -0.2, np.inf]])
+    p_mixed, _ = mvn_cdf(mixed, cov, points=4096, shifts=8)
+    for row, got in zip(mixed, p_mixed):
+        want = 1.0 if np.all(np.isposinf(row)) else _scipy_margin_cdf(row, cov)
+        assert got == pytest.approx(want, abs=5e-6)
+
+
+def test_minus_infinite_limit_gives_zero_probability():
+    # exactly -inf per row; through the Genz recursion a -inf limit gives NaN
+    # for the negatively correlated case
+    for cov in (toeplitz([1.0, -0.5, 0.25]), toeplitz([1.0, 0.5, 0.25])):
+        logp, err = mvn_logcdf([-np.inf, 0.0, 0.0], cov)
+        assert logp == -np.inf and err == 0.0
+        logp, _ = mvn_logcdf([[0.0, np.inf, -np.inf], [0.1, 0.2, 0.3]], cov)
+        assert logp[0] == -np.inf and np.isfinite(logp[1])
+
+
+@pytest.mark.parametrize("shifts", [1, 8])
+def test_rows_do_not_depend_on_their_batch(rng, shifts):
+    cov = _random_corr(rng, 5)
+    b = rng.standard_normal((40, 5)) * 1.5
+    b[3, 1] = b[7, [0, 4]] = b[11] = np.inf
+    b[5, 2] = b[9, 0] = -np.inf
+    b[13, [1, 3]] = np.inf, -np.inf
+    logp, err = mvn_logcdf(b, cov, points=512, shifts=shifts)
+    one = [mvn_logcdf(row, cov, points=512, shifts=shifts) for row in b]
+    assert np.array_equal(logp, [lp for lp, _ in one])
+    assert np.array_equal(err, [e for _, e in one], equal_nan=True)
+    sub = np.sort(rng.choice(40, size=17, replace=False))
+    assert np.array_equal(mvn_logcdf(b[sub], cov, points=512, shifts=shifts)[0], logp[sub])
 
 
 def test_log_scale_deep_tail(rng):
