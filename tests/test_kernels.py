@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
-from tailchain.kernels import (DEFAULT_PROB_TOL, MAX_ORDER, _invert_slice,
+from tailchain.kernels import (BRACKET_HIGH, DEFAULT_PROB_TOL, MAX_ORDER,
+                               _GRID_FRACTIONS, _invert_slice,
                                asym_logistic_model, gaussian_model, husler_reiss_model,
                                inverted_logistic_model, kernel_cdf,
                                kernel_quantile, kernel_sample, logistic_model,
@@ -224,7 +225,8 @@ def _contract_inputs(m, n, seed):
 @pytest.mark.parametrize("family", list(_CONTRACT_MODELS))
 def test_slice_rows_do_not_depend_on_their_batch(family, grade):
     # a row subset of a slice gives that subset's rows of the whole batch, as
-    # the refinement of _invert_slice evaluates the rows still active
+    # the bracket search and the refinement of _invert_slice evaluate only
+    # the rows still searching or still active
     m = _CONTRACT_MODELS[family]()
     rng, states, x = _contract_inputs(m, 40, 1)
     sl = m.kernel_slice(states, grade=grade)
@@ -291,6 +293,8 @@ def test_logsumexp_matches_scipy_bit_for_bit():
 
 def test_bracket_failure_is_signalled():
     class Stub:
+        state_max = np.zeros(1)
+
         def cdf(self, x, rows=None):
             return np.minimum(np.asarray(x, float) * 0 + 0.5, 0.5)
 
@@ -300,11 +304,89 @@ def test_bracket_failure_is_signalled():
 
 def test_non_finite_cdf_fails_loudly():
     class Stub:
+        state_max = np.zeros(2)
+
         def cdf(self, x, rows=None):
             return np.full(np.shape(x), np.nan)
 
     with pytest.raises(NumericalError):
         _invert_slice(Stub(), np.array([0.3, 0.9]))
+
+
+def _rational_cdf(x, scale):
+    # increasing from 0 to 1; arithmetic only, so it rounds alike in any batch
+    return x / (x + scale)
+
+
+class _LoggedSlice:
+    """A slice with F_r(x) = x / (x + scale_r) per row that logs each call."""
+
+    def __init__(self, scale, state_max):
+        self.scale = scale
+        self.state_max = state_max
+        self.calls = []
+
+    def cdf(self, x, rows=None):
+        rows = np.arange(self.scale.size) if rows is None else np.asarray(rows)
+        x = np.asarray(x, dtype=float)
+        self.calls.append((rows, x))
+        return _rational_cdf(x, self.scale[rows])
+
+
+def _grid_sweep_quantile(scale, state_max, p, tol):
+    """One row's quantile by the full grid sweep and count rule, then the
+    secant/bisection refinement of `_invert_slice` written for one row."""
+    grid = (BRACKET_HIGH + state_max) * _GRID_FRACTIONS
+    grid_f = _rational_cdf(grid, scale)
+    pos = int(np.sum(grid_f < p))
+    lo, f_lo = (0.0, 0.0) if pos == 0 else (grid[pos - 1], grid_f[pos - 1])
+    hi, f_hi = grid[pos], grid_f[pos]
+    f_lo, f_hi = f_lo - p, f_hi - p
+    x = 0.5 * (lo + hi)
+    fx = _rational_cdf(x, scale) - p
+    it = 0
+    while abs(fx) > tol:
+        if fx < 0:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        width, denom = hi - lo, f_hi - f_lo
+        sec = lo - f_lo * width / denom if denom > 0 else lo
+        good = denom > 0 and lo + 0.01 * width < sec < hi - 0.01 * width and it % 3 != 2
+        x = sec if good else 0.5 * (lo + hi)
+        fx = _rational_cdf(x, scale) - p
+        if width < 1e-13 * max(1.0, hi):
+            break
+        it += 1
+    return x
+
+
+@pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
+def test_bracket_search_matches_the_grid_sweep(tol):
+    rng = np.random.default_rng(8)
+    n = 24
+    scale = rng.uniform(0.5, 8.0, size=n)
+    state_max = rng.uniform(0.0, 20.0, size=n)
+    grid = np.outer(BRACKET_HIGH + state_max, _GRID_FRACTIONS)
+    grid_f = _rational_cdf(grid, scale[:, None])
+    p = rng.uniform(0.0, grid_f[:, -1])
+    p[0] = 0.5 * grid_f[0, 0]                      # below the first grid point
+    p[1] = 0.5 * (grid_f[1, -2] + grid_f[1, -1])   # in the last grid interval
+    p[2] = grid_f[2, 6]                            # on grid values, where the
+    p[3] = grid_f[3, 0]                            # `<` of the count rule
+    p[4] = grid_f[4, -1]                           # picks the bracket
+    sl = _LoggedSlice(scale, state_max)
+    q = _invert_slice(sl, p, tol=tol)
+    ref = [_grid_sweep_quantile(*args, tol) for args in zip(scale, state_max, p)]
+    assert q.tobytes() == np.array(ref).tobytes()
+    on_grid = np.zeros(n, dtype=int)
+    for rows, x in sl.calls:
+        np.add.at(on_grid, rows, np.any(x[:, None] == grid[rows], axis=1))
+    assert on_grid.max() <= 4
+
+    p[5] = 0.5 * (grid_f[5, -1] + 1.0)             # past the last grid point
+    with pytest.raises(BracketError):
+        _invert_slice(_LoggedSlice(scale, state_max), p, tol=tol)
 
 
 def test_zero_mixed_partials_give_the_independence_kernel():
