@@ -12,6 +12,7 @@ diagnostic JSON on stderr).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -92,22 +93,21 @@ def _write_csv(path, header, rows):
 
 
 def _write_paths_csv(path, ensemble):
+    """One row per path value, streamed row by row of the ensemble; with mode
+    columns (the regime chain) only the finite values, i.e. until termination."""
     data = ensemble.data
     modes = ensemble.extras.get("modes")
-    atom = ensemble.extras.get("atom_flag")
-    rows = []
-    for r in range(data.shape[0]):
-        for t in range(data.shape[1]):
-            v = data[r, t]
-            if not np.isfinite(v) and modes is not None:
-                continue
-            if modes is not None:
-                rows.append((r, t, float(v), int(atom[r, t]), int(modes[r, t])))
-            else:
-                rows.append((r, t, float(v)))
     header = ["replicate", "t", "value"]
-    if modes is not None:
+    if modes is None:
+        rows = ((r, t, v) for r in range(data.shape[0])
+                for t, v in enumerate(data[r].tolist()))
+    else:
         header += ["atom_flag", "regime"]
+        atom = ensemble.extras["atom_flag"]
+        rows = ((r, t, v, a, m) for r in range(data.shape[0])
+                for t, (v, a, m) in enumerate(zip(data[r].tolist(), atom[r].tolist(),
+                                                  modes[r].tolist()))
+                if math.isfinite(v))
     _write_csv(path, header, rows)
 
 

@@ -19,11 +19,10 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import expit, ndtr, ndtri
 
-from .measures import AsymLogisticMeasure, husler_reiss_covariance
+from .measures import husler_reiss_covariance
 from .mvnorm import mvn_cdf
 from .paths import PathEnsemble
 from .recurrence import beta_sequence, gaussian_yule_walker
-from .transforms import exp_to_frechet
 from .utils import DomainError, NumericalError, ParameterError, logsumexp, replicate_rng
 
 
@@ -461,6 +460,30 @@ def simulate_hidden_tail_chain(model, T, n_rep, seed):
 # ---------------------------------------------------------------------------
 # regime-switching chain (asymmetric logistic, order 2)
 
+_LN2 = np.log(2.0)
+# log G above 0 by more than this is not rounding
+_LOG_CDF_SLACK = 1e-15
+# Newton's error after a step s is O(s^2), so a relative step of 1e-12 already
+# leaves the root at rounding; the evaluated log G carries up to ~5e-14 relative
+# noise in y (y near 1e-12 beside a body neighbour near 15), which a 1e-14 test
+# would chase without end
+_NEWTON_RTOL = 1e-12
+_NEWTON_MAX_ITER = 100
+
+
+def _log_frechet(y):
+    """log of -1/log(1 - e^-y), to full relative precision for every y > 0.
+
+    Unlike `transforms.log_exp_to_frechet` it forms log(1 - e^-y) as
+    log(-expm1(-y)) below log 2, which stays exact as y -> 0, where body
+    quantiles at u near 2^-53 lie.
+    """
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        log1mexp = np.where(y < _LN2, np.log(-np.expm1(-y)), np.log1p(-np.exp(-y)))
+        return -np.log(-log1mexp)
+
+
 class RegimeSwitchingTailChain:
     """Hidden tail chain with latent extreme/body mode indicators B_t.
 
@@ -469,15 +492,24 @@ class RegimeSwitchingTailChain:
     matching location functional, while dropping to the body realizes the
     infinite atom of the location view and draws an absolute body value.
     The chain terminates at the first pair of consecutive body states.
+
+    The body law after a (1, 0) or (0, 1) pair is the conditional law of the
+    new value given the body neighbour x under the bivariate margin of the
+    asymmetric logistic (Tawn 1990, Biometrika 77).  On the Frechet scale,
+    with r = y/x, each face (theta, nu) that spans both coordinates adds
+    theta (x^(-1/nu) + y^(-1/nu))^nu = (theta/x) (1 + r^(-1/nu))^nu, and the
+    single-coordinate faces carry the rest, m = 1 - sum theta, by the
+    marginal constraints.  So
+        G(y) = [1 - sum theta (1 - w)] exp(-m/y - sum theta ((1 + q)^nu - 1)/x)
+    with q = r^(-1/nu) and w = (1 + q)^(nu - 1): closed in r, and each regime
+    supplies only its two faces.  It is inverted by safeguarded Newton on
+    log G (below the median) or log(1 - G) (above it).
     """
 
     k = 2
 
     def __init__(self, params):
         self.params = params
-        self.measure = AsymLogisticMeasure(params=params)
-        self._marg12 = self.measure.margin((1, 2))
-        self._marg02 = self.measure.margin((0, 2))
         p = params
         self.m10 = p.theta0 / (p.theta0 + p.theta02)
         self.m01 = p.theta1 / (p.theta1 + p.theta01)
@@ -526,45 +558,106 @@ class RegimeSwitchingTailChain:
             return self._w_quantile(u, p.nu01, 1.0)
         raise DomainError(f"no tracked-mode transition from regime {A}")
 
+    # --- body laws ----------------------------------------------------
+    def _body_faces(self, A):
+        """(theta, nu) of the two faces joining the body neighbour and the new value."""
+        p = self.params
+        if A == (1, 0):
+            return ((p.theta01, p.nu01), (p.theta012, p.nu012))
+        if A == (0, 1):
+            return ((p.theta02, p.nu02), (p.theta012, p.nu012))
+        raise DomainError(f"no body transition from regime {A}")
+
+    def body_log_cdf(self, A, y, prev_body):
+        """(log G_{A,0}(y), d log G_{A,0}/dy) for y > 0 and A in {(1,0), (0,1)}.
+
+        Every face adds a nonnegative correction, so log G <= 0 holds by
+        construction; NaN or a value above _LOG_CDF_SLACK raises
+        NumericalError.
+        """
+        faces = self._body_faces(A)
+        log_tx = _log_frechet(prev_body)
+        log_ty = _log_frechet(y)
+        m = 1.0
+        deficit = 0.0       # sum theta (1 - w): 1 minus the conditional mass -x^2 V_x
+        expo = 0.0          # sum theta ((1 + q)^nu - 1)
+        dy = 0.0            # sum theta (1 + 1/q)^(nu - 1): the weights of -y^2 V_y
+        cross = 0.0         # sum theta (1 - nu)/nu q (1 + q)^(nu - 2): the weights of -x y V_xy
+        for theta, nu in faces:
+            log_q = (log_tx - log_ty) / nu
+            log1q = np.logaddexp(0.0, log_q)
+            m -= theta
+            deficit = deficit - theta * np.expm1((nu - 1.0) * log1q)
+            expo = expo + theta * np.expm1(nu * log1q)
+            dy = dy + theta * np.exp((nu - 1.0) * np.logaddexp(0.0, -log_q))
+            cross = cross + theta * (1.0 - nu) / nu * np.exp(log_q + (nu - 2.0) * log1q)
+        with np.errstate(over="ignore"):
+            ty = np.exp(log_ty)
+            log_cdf = np.log1p(-deficit) - m / ty - expo * np.exp(-log_tx)
+            # d/dy of log G: (d log G / d ty) ty^2 / expm1(y), the Jacobian of the scale map
+            dlog = (m + dy + ty * cross / (1.0 - deficit)) / np.expm1(y)
+        if not np.all(log_cdf <= _LOG_CDF_SLACK):
+            raise NumericalError(f"regime {A} body CDF is NaN or above 1 beyond rounding")
+        return np.minimum(log_cdf, 0.0), dlog
+
     def body_cdf(self, A, y, prev_body):
         """G_{A,0}: absolute body-value law; depends on the body neighbour."""
-        p = self.params
         y = np.asarray(y, dtype=float)
+        pos = np.where(y > 0, y, 1.0)
         if A == (1, 1):
-            return -np.expm1(-y)
-        yv = np.asarray(prev_body, dtype=float)
-        ty = exp_to_frechet(np.clip(y, 1e-12, None))
-        tx = exp_to_frechet(yv)
-        r = ty / tx
-        if A == (1, 0):
-            w01 = (1.0 + r ** (-1.0 / p.nu01)) ** (p.nu01 - 1.0)
-            w012 = (1.0 + r ** (-1.0 / p.nu012)) ** (p.nu012 - 1.0)
-            bracket = p.theta1 + p.theta01 * (1.0 + w01) + p.theta012 * w012
-            pair = np.stack([np.broadcast_to(tx, ty.shape), ty], axis=-1)
-            log_g = 1.0 / tx - self._marg12.value(pair)
-        elif A == (0, 1):
-            w02 = (1.0 + r ** (-1.0 / p.nu02)) ** (p.nu02 - 1.0)
-            w012 = (1.0 + r ** (-1.0 / p.nu012)) ** (p.nu012 - 1.0)
-            bracket = p.theta0 + p.theta01 + p.theta02 * w02 + p.theta012 * w012
-            pair = np.stack([np.broadcast_to(tx, ty.shape), ty], axis=-1)
-            log_g = 1.0 / tx - self._marg02.value(pair)
+            out = -np.expm1(-pos)
         else:
-            raise DomainError(f"no body transition from regime {A}")
-        out = bracket * np.exp(log_g)
-        return np.where(y <= 0, 0.0, np.clip(out, 0.0, 1.0))
+            out = np.exp(self.body_log_cdf(A, pos, prev_body)[0])
+        return np.where(y > 0, out, 0.0)
 
     def body_quantile(self, A, u, prev_body):
-        if A == (1, 1):
-            return -np.log1p(-np.asarray(u, dtype=float))
+        """Inverse of :meth:`body_cdf` for u in (0, 1), row by row.
+
+        Starts from the unit-exponential quantile, which is exact for (1, 1).
+        Otherwise each row takes Newton steps in log y on log G - log u when
+        u < 1/2 and in y on log(1 - G) - log(1 - u) when u >= 1/2 (both close
+        to linear in the tails).  Every evaluation narrows the row's bracket
+        lo < y* <= hi, and a step that leaves it is replaced by expansion
+        (hi not yet found: 2 lo + 1; lo not yet found: hi / 16) or by the
+        geometric midpoint.  Only rows whose last step exceeded _NEWTON_RTOL
+        relative are iterated again; a row still moving after
+        _NEWTON_MAX_ITER steps raises NumericalError.
+        """
         u = np.asarray(u, dtype=float)
-        lo = np.full(u.shape, 1e-9)
-        hi = np.full(u.shape, 60.0)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.body_cdf(A, mid, prev_body) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        if not np.all((u > 0) & (u < 1)):
+            raise DomainError("body quantile levels must lie in (0, 1)")
+        y = -np.log1p(-u)
+        if A == (1, 1):
+            return y
+        shape = u.shape
+        u, y = u.ravel(), y.ravel()
+        prev = np.broadcast_to(np.asarray(prev_body, dtype=float), shape).ravel()
+        upper = u >= 0.5
+        log_target = np.where(upper, np.log1p(-u), np.log(u))
+        lo = np.zeros(u.size)
+        hi = np.full(u.size, np.inf)
+        rows = np.arange(u.size)
+        for _ in range(_NEWTON_MAX_ITER):
+            if rows.size == 0:
+                return y.reshape(shape)
+            yr, up, target = y[rows], upper[rows], log_target[rows]
+            log_cdf, dlog = self.body_log_cdf(A, yr, prev[rows])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                sf = -np.expm1(log_cdf)
+                log_sf = np.log(sf)
+                below = np.where(up, log_sf > target, log_cdf < target)
+                l = lo[rows] = np.where(below, yr, lo[rows])
+                h = hi[rows] = np.where(below, hi[rows], yr)
+                new = np.where(up, yr + (log_sf - target) * sf / (np.exp(log_cdf) * dlog),
+                               yr * np.exp((target - log_cdf) / (yr * dlog)))
+                fallback = np.where(np.isinf(h), 2.0 * l + 1.0,
+                                    np.where(l == 0.0, h / 16.0, np.sqrt(l * h)))
+                new = np.where((new >= l) & (new <= h) & (new > 0) & np.isfinite(new),
+                               new, fallback)
+            y[rows] = new
+            rows = rows[np.abs(new - yr) > _NEWTON_RTOL * new]
+        raise NumericalError(f"regime {A} body quantile: {rows.size} rows not bracketed "
+                             f"or not converged after {_NEWTON_MAX_ITER} steps")
 
     def initial_value_quantile(self, u, mode):
         """M_1 given the first latent mode: profile mixture or body exponential."""
@@ -640,12 +733,9 @@ def simulate_regime_tail_chain(params, T, n_rep, seed):
         alive = alive & ~died
     term[alive] = 0  # 0 marks "did not terminate within the horizon"
 
-    atom = np.where(modes >= 0, (modes == 0).astype(np.int8), np.int8(0))
-    # blank out everything after termination
-    for r in np.where(term > 0)[0]:
-        values[r, term[r] + 1:] = np.nan
-        modes[r, term[r] + 1:] = -1
-        atom[r, term[r] + 1:] = 0
+    # every write above is masked by `alive`, so steps after termination
+    # keep their NaN values and -1 modes
+    atom = (modes == 0).astype(np.int8)
     ens = PathEnsemble(data=values, u=None, seed=seed,
                        model=f"regime_switching(asym_logistic)",
                        norming="difference",

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from tailchain.cli import main, read_config
+from tailchain.cli import _write_paths_csv, main, read_config
+from tailchain.paths import PathEnsemble
 
 
 def _run(args):
@@ -74,6 +75,22 @@ def test_regime_chain_csv_has_mode_columns(tmp_path):
     assert code == 0
     rows = (tmp_path / "tail_chain_paths.csv").read_text().splitlines()
     assert rows[0] == "replicate,t,value,atom_flag,regime"
+
+
+def test_paths_csv_rows(tmp_path):
+    # every value in replicate-major order; with mode columns, values after
+    # termination (NaN) are left out
+    data = np.array([[0.0, 1.5, np.nan], [0.0, -0.25, 2.0]])
+    modes = np.array([[1, 0, -1], [1, 1, 0]], dtype=np.int8)
+    ens = PathEnsemble(data=data, extras={"modes": modes,
+                                          "atom_flag": (modes == 0).astype(np.int8)})
+    _write_paths_csv(tmp_path / "regime.csv", ens)
+    assert (tmp_path / "regime.csv").read_text().splitlines() == [
+        "replicate,t,value,atom_flag,regime", "0,0,0,0,1", "0,1,1.5,1,0",
+        "1,0,0,0,1", "1,1,-0.25,0,1", "1,2,2,1,0"]
+    _write_paths_csv(tmp_path / "plain.csv", PathEnsemble(data=data[1:]))
+    assert (tmp_path / "plain.csv").read_text().splitlines() == [
+        "replicate,t,value", "0,0,0", "0,1,-0.25", "0,2,2"]
 
 
 def test_fig1_and_fig2(tmp_path):

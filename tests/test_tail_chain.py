@@ -1,17 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
 from tailchain.kernels import asym_logistic_model, gaussian_model, kernel_cdf
 from tailchain.mc_lab import renormalize
-from tailchain.measures import AsymLogisticParams, finite_difference_partial
+from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams,
+                                finite_difference_partial)
 from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                                   InvertedLogisticScaleTailChain,
                                   LogisticLocationTailChain,
                                   RegimeSwitchingTailChain, finite_level_remainder,
                                   simulate_hidden_tail_chain,
                                   simulate_regime_tail_chain)
-from tailchain.utils import DomainError, ParameterError
+from tailchain.transforms import exp_to_frechet
+from tailchain.utils import DomainError, NumericalError, ParameterError
 
 from conftest import FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO
 
@@ -312,6 +316,83 @@ def test_regime_body_law_matches_finite_level_kernel():
         model.m11(np.array([x0]), np.array([x1])).item(), abs=5e-3)
 
 
+# coordinates of the body neighbour and the new value in the 3-d measure, per regime
+_BODY_MARGIN = {(1, 0): (1, 2), (0, 1): (0, 2)}
+
+
+@pytest.mark.parametrize("params", [FIG2_PARAMS, SKEW_PARAMS], ids=["fig2", "skew"])
+@pytest.mark.parametrize("A", [(1, 0), (0, 1)])
+def test_body_cdf_matches_the_asym_logistic_margin(params, A):
+    # G(y | x) = -x^2 V_x(x, y) exp(1/x - V(x, y)) on the Frechet scale, with V
+    # the bivariate margin of the generic face-list measure
+    model = RegimeSwitchingTailChain(params)
+    margin = AsymLogisticMeasure(params=params).margin(_BODY_MARGIN[A])
+    for prev in (0.05, 0.4, 1.3, 4.0, 12.0):
+        y = np.array([0.01, 0.2, 1.0, 3.0, 8.0, 20.0, 35.0])
+        tx, ty = exp_to_frechet(prev), exp_to_frechet(y)
+        pair = np.column_stack([np.full(y.size, tx), ty])
+        oracle = -tx ** 2 * margin.partial((0,), pair) * np.exp(1.0 / tx - margin.value(pair))
+        np.testing.assert_allclose(model.body_cdf(A, y, prev), oracle, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("params", [FIG2_PARAMS, SKEW_PARAMS], ids=["fig2", "skew"])
+@pytest.mark.parametrize("A", [(1, 0), (0, 1)])
+def test_body_density_matches_finite_differences(params, A):
+    model = RegimeSwitchingTailChain(params)
+    y = np.geomspace(1e-6, 8.0, 25)
+    for prev in (1e-3, 0.7, 6.0):
+        log_cdf, dlog = model.body_log_cdf(A, y, prev)
+        h = 1e-5 * y
+        fd = (model.body_cdf(A, y + h, prev) - model.body_cdf(A, y - h, prev)) / (2 * h)
+        np.testing.assert_allclose(np.exp(log_cdf) * dlog, fd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("params", [FIG2_PARAMS, SKEW_PARAMS], ids=["fig2", "skew"])
+@pytest.mark.parametrize("A", [(1, 0), (0, 1)])
+def test_body_quantile_round_trip(params, A):
+    # u = 1e-12 lies below G at the bottom of a fixed [1e-9, 60] bracket
+    model = RegimeSwitchingTailChain(params)
+    u = np.tile([1e-12, 1e-9, 0.5, 1 - 1e-12], 4)
+    prev = np.repeat([1e-4, 0.3, 2.0, 15.0], 4)
+    q = model.body_quantile(A, u, prev)
+    assert np.all(np.abs(model.body_cdf(A, q, prev) - u) <= 1e-12)
+
+
+def test_body_law_fails_loudly():
+    model = RegimeSwitchingTailChain(SKEW_PARAMS)
+    with pytest.raises(NumericalError):
+        model.body_cdf((1, 0), 1.0, prev_body=np.nan)
+    with pytest.raises(NumericalError):
+        model.body_quantile((0, 1), np.array([0.3, 0.6]), prev_body=np.array([1.0, np.nan]))
+    with pytest.raises(DomainError):
+        model.body_quantile((0, 1), np.array([0.3, 0.0]), prev_body=1.0)
+
+
+# sha256 of (modes, termination as int64, atom flags) and the sum of the path
+# values of simulate_regime_tail_chain(params, 40, 2000, seed), as sampled by
+# the 80-step bisection on [1e-9, 60] that the Newton inversion replaced
+_REGIME_REFERENCE = [
+    (FIG2_PARAMS, 3, "1decc9e16f801fceb27126d6527aab737b553a00d9e41da0cf6d0cbc403822f8",
+     -18174.17902439227),
+    (SKEW_PARAMS, 17, "2c41746aa5ca1648b7aa5af230d744595a1dedc78ac8e6aaf212e1bcff32493b",
+     -38812.10023629941),
+]
+
+
+@pytest.mark.parametrize("params, seed, digest, total", _REGIME_REFERENCE,
+                         ids=["fig2", "skew"])
+def test_regime_modes_match_the_bisection_reference(params, seed, digest, total):
+    # modes and termination depend on the tracked values and the uniforms only,
+    # so a change of body-law inversion leaves them bit for bit
+    ens = simulate_regime_tail_chain(params, 40, 2000, seed)
+    h = hashlib.sha256()
+    for a in (ens.extras["modes"], ens.extras["termination"].astype(np.int64),
+              ens.extras["atom_flag"]):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
+    assert np.nansum(ens.data) == pytest.approx(total, rel=1e-13)
+
+
 def test_regime_simulation_bookkeeping():
     ens = simulate_regime_tail_chain(FIG2_PARAMS, 120, 4000, seed=8)
     modes = ens.extras["modes"]
@@ -320,12 +401,13 @@ def test_regime_simulation_bookkeeping():
     done = tb[tb > 0]
     assert done.min() >= 2
     assert abs(done.mean() - 8.42) < 0.4
-    # values at tracked steps are finite until termination
-    for r in range(50):
-        t_end = tb[r] if tb[r] > 0 else 120
-        assert np.all(np.isfinite(ens.data[r, :t_end + 1]))
-        assert np.all(modes[r, t_end + 1:] == -1)
+    # values are finite until termination and blank after it
+    t_end = np.where(tb > 0, tb, 120)
+    after = np.arange(121) > t_end[:, None]
+    assert np.array_equal(np.isnan(ens.data), after)
+    assert np.all(modes[after] == -1) and np.all(modes[~after] >= 0)
     atom = ens.extras["atom_flag"]
+    assert np.all(atom[after] == 0)
     live = modes >= 0
     assert np.array_equal(atom[live] == 1, modes[live] == 0)
 
