@@ -23,6 +23,7 @@ from .measures import husler_reiss_covariance
 from .mvnorm import mvn_cdf
 from .paths import PathEnsemble
 from .recurrence import beta_sequence, gaussian_yule_walker
+from .transforms import log_exp_to_frechet
 from .utils import DomainError, NumericalError, ParameterError, logsumexp, replicate_rng
 
 
@@ -460,7 +461,6 @@ def simulate_hidden_tail_chain(model, T, n_rep, seed):
 # ---------------------------------------------------------------------------
 # regime-switching chain (asymmetric logistic, order 2)
 
-_LN2 = np.log(2.0)
 # log G above 0 by more than this is not rounding
 _LOG_CDF_SLACK = 1e-15
 # Newton's error after a step s is O(s^2), so a relative step of 1e-12 already
@@ -469,19 +469,9 @@ _LOG_CDF_SLACK = 1e-15
 # would chase without end
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAX_ITER = 100
-
-
-def _log_frechet(y):
-    """log of -1/log(1 - e^-y), to full relative precision for every y > 0.
-
-    Unlike `transforms.log_exp_to_frechet` it forms log(1 - e^-y) as
-    log(-expm1(-y)) below log 2, which stays exact as y -> 0, where body
-    quantiles at u near 2^-53 lie.
-    """
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        log1mexp = np.where(y < _LN2, np.log(-np.expm1(-y)), np.log1p(-np.exp(-y)))
-        return -np.log(-log1mexp)
+# rng.uniform draws from [0, 1) and the transition laws take levels in (0, 1),
+# so a draw of exactly 0 is lifted to the smallest positive double
+_SMALLEST_LEVEL = np.nextafter(0.0, 1.0)
 
 
 class RegimeSwitchingTailChain:
@@ -576,8 +566,8 @@ class RegimeSwitchingTailChain:
         NumericalError.
         """
         faces = self._body_faces(A)
-        log_tx = _log_frechet(prev_body)
-        log_ty = _log_frechet(y)
+        log_tx = log_exp_to_frechet(prev_body)
+        log_ty = log_exp_to_frechet(y)
         m = 1.0
         deficit = 0.0       # sum theta (1 - w): 1 minus the conditional mass -x^2 V_x
         expo = 0.0          # sum theta ((1 + q)^nu - 1)
@@ -638,8 +628,6 @@ class RegimeSwitchingTailChain:
         hi = np.full(u.size, np.inf)
         rows = np.arange(u.size)
         for _ in range(_NEWTON_MAX_ITER):
-            if rows.size == 0:
-                return y.reshape(shape)
             yr, up, target = y[rows], upper[rows], log_target[rows]
             log_cdf, dlog = self.body_log_cdf(A, yr, prev[rows])
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -656,6 +644,8 @@ class RegimeSwitchingTailChain:
                                new, fallback)
             y[rows] = new
             rows = rows[np.abs(new - yr) > _NEWTON_RTOL * new]
+            if rows.size == 0:
+                return y.reshape(shape)
         raise NumericalError(f"regime {A} body quantile: {rows.size} rows not bracketed "
                              f"or not converged after {_NEWTON_MAX_ITER} steps")
 
@@ -715,7 +705,7 @@ def simulate_regime_tail_chain(params, T, n_rep, seed):
         cold_hot = alive & (a2 == 0) & (a1 == 1)
         p_stay[cold_hot] = model.m01
         b = (rng.uniform(size=n) < p_stay).astype(np.int8)
-        u = rng.uniform(size=n)
+        u = np.maximum(rng.uniform(size=n), _SMALLEST_LEVEL)
         for A, mask in ((((1, 1)), both), (((1, 0)), hot_cold), (((0, 1)), cold_hot)):
             if not np.any(mask):
                 continue

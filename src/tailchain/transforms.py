@@ -13,6 +13,17 @@ from .utils import DomainError
 # above this point exp(-x) is far below the relative rounding of log1p,
 # so the two-term series for -1/log(1 - e^-x) is exact to double precision
 _LARGE_X = 30.0
+_LN2 = np.log(2.0)
+
+
+def _log1mexp(x):
+    """log(1 - e^-x) for x > 0, to full relative precision.
+
+    Formed as log(-expm1(-x)) below log 2, which stays exact as x -> 0, and
+    as log1p(-e^-x) above it (Maechler 2012).
+    """
+    with np.errstate(divide="ignore"):     # log1p(-1) on the unused branch below 1e-16
+        return np.where(x < _LN2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
 
 
 def exp_to_frechet(x):
@@ -26,7 +37,7 @@ def exp_to_frechet(x):
     small = x <= _LARGE_X
     out = np.empty_like(x)
     xs = np.where(small, x, 1.0)
-    out_small = -1.0 / np.log1p(-np.exp(-xs))
+    out_small = -1.0 / _log1mexp(xs)
     with np.errstate(over="ignore"):
         out_large = np.exp(x) - 0.5
     out[...] = np.where(small, out_small, out_large)
@@ -40,7 +51,7 @@ def log_exp_to_frechet(x):
         raise DomainError("exponential-scale argument must be positive")
     small = x <= _LARGE_X
     xs = np.where(small, x, 1.0)
-    out_small = -np.log(-np.log1p(-np.exp(-xs)))
+    out_small = -np.log(-_log1mexp(xs))
     out_large = x + np.log1p(-0.5 * np.exp(-np.where(small, 1.0, x)))
     out = np.where(small, out_small, out_large)
     return out if out.shape else float(out)

@@ -7,8 +7,11 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _pairs(parent, change, key):
-    return [{"parent": {key: p}, "change": {key: c}} for p, c in zip(parent, change)]
+def _pairs(parent, change, key, failed=(0, 0)):
+    """Pairs of one metric; each run attempted 100 operations, `failed` of them failed."""
+    return [{"parent": {key: p}, "change": {key: c},
+             "operations": {"parent": [100, failed[0], True], "change": [100, failed[1], True]}}
+            for p, c in zip(parent, change)]
 
 
 def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
@@ -34,3 +37,14 @@ def test_gain_needs_nine_tenths_and_a_gap_wider_than_the_parent_spread():
     assert narrow["w.round_cpu_s"]["change_wins"] == "10/10"
     assert not narrow["w.round_cpu_s"]["gain"]
 
+
+
+def test_no_gain_when_the_change_fails_more_operations():
+    parent = [3.0, 3.1, 3.2, 3.3, 3.0, 3.1, 3.2, 3.3, 3.0, 3.1]
+    change = [1.5] * 10
+    better = {"round_cpu_s": "lower"}
+    worse = bench_pairs.summarize(_pairs(parent, change, "w.round_cpu_s", failed=(1, 2)), better)
+    assert worse["w.round_cpu_s"]["change_wins"] == "10/10"
+    assert not worse["w.round_cpu_s"]["gain"]
+    same = bench_pairs.summarize(_pairs(parent, change, "w.round_cpu_s", failed=(2, 2)), better)
+    assert same["w.round_cpu_s"]["gain"]

@@ -8,6 +8,7 @@ from tailchain.kernels import asym_logistic_model, gaussian_model, kernel_cdf
 from tailchain.mc_lab import renormalize
 from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams,
                                 finite_difference_partial)
+from tailchain import tail_chain
 from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                                   InvertedLogisticScaleTailChain,
                                   LogisticLocationTailChain,
@@ -366,6 +367,45 @@ def test_body_law_fails_loudly():
         model.body_quantile((0, 1), np.array([0.3, 0.6]), prev_body=np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
         model.body_quantile((0, 1), np.array([0.3, 0.0]), prev_body=1.0)
+
+
+def test_body_quantile_returns_when_the_last_allowed_step_converges(monkeypatch):
+    model = RegimeSwitchingTailChain(SKEW_PARAMS)
+    steps = []
+    log_cdf = model.body_log_cdf
+    monkeypatch.setattr(model, "body_log_cdf", lambda *a: steps.append(1) or log_cdf(*a))
+    q = model.body_quantile((1, 0), np.array([0.3]), prev_body=1.3)
+    n = len(steps)
+    assert n > 2
+    monkeypatch.setattr(tail_chain, "_NEWTON_MAX_ITER", n)
+    assert np.array_equal(model.body_quantile((1, 0), np.array([0.3]), prev_body=1.3), q)
+    monkeypatch.setattr(tail_chain, "_NEWTON_MAX_ITER", n - 1)
+    with pytest.raises(NumericalError):
+        model.body_quantile((1, 0), np.array([0.3]), prev_body=1.3)
+
+
+# the tracked laws overflow to -inf at a level of 0, which then warns in m11
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_regime_simulation_accepts_uniform_draws_of_zero(monkeypatch):
+    # rng.uniform draws from [0, 1); a level of exactly 0 must not abort the run
+    class ZeroLevels:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def uniform(self, size):
+            u = self.rng.uniform(size=size)
+            self.calls += 1
+            if self.calls > 2 and self.calls % 2 == 0:   # the value levels of t >= 2
+                u[::3] = 0.0
+            return u
+
+    real = tail_chain.replicate_rng
+    monkeypatch.setattr(tail_chain, "replicate_rng", lambda *a: ZeroLevels(real(*a)))
+    ens = simulate_regime_tail_chain(FIG2_PARAMS, 20, 600, seed=5)
+    body = ens.extras["modes"][:, 2:] == 0
+    vals = ens.data[:, 2:][body]
+    assert np.all(vals > 0) and np.all(np.isfinite(vals))
+    assert np.any(vals == np.nextafter(0.0, 1.0))
 
 
 # sha256 of (modes, termination as int64, atom flags) and the sum of the path

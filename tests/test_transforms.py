@@ -44,6 +44,19 @@ def test_large_argument_asymptotics():
                       atol=1e-13)
 
 
+def test_frechet_keeps_relative_precision_near_zero():
+    # log(1 - e^-x) = log x - x/2 + x^2/24 + O(x^4), exact to rounding for x <= 1e-4
+    x = np.array([1e-300, 1e-16, 1e-12, 1e-9, 1e-6, 1e-4])
+    ref = -np.log(-(np.log(x) - x / 2 + x ** 2 / 24))
+    np.testing.assert_allclose(log_exp_to_frechet(x), ref, rtol=1e-15)
+    np.testing.assert_allclose(exp_to_frechet(x), np.exp(ref), rtol=4e-15)
+    # the two branches of log(1 - e^-x) meet at log 2
+    edge = np.log(2.0) * np.array([1 - 1e-15, 1.0, 1 + 1e-15])
+    assert np.ptp(log_exp_to_frechet(edge)) < 1e-14
+    with pytest.raises(DomainError):
+        log_exp_to_frechet(np.array([1.0, 0.0]))
+
+
 def test_gauss_scale_extreme_arguments():
     # stable far into the tail (used by large-threshold Gaussian experiments)
     x = 1e8

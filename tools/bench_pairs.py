@@ -2,17 +2,19 @@
 
 Usage:
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --change "what changed" \
-        [--pairs 10] [--seconds 40] [--out BENCH_N.json]
+        [--out BENCH_N.json]
 
-Pair i (seed i, from 1 upward) runs `python3 perfbench/run.py --workload all
---seed i --seconds S --trace 0` in both checkouts, the parent first in odd
-pairs and the change first in even ones.  Then each side makes one traced
+Pair i of ten (seed i, from 1 upward) runs `python3 perfbench/run.py
+--workload all --seed i --seconds S --trace 0` in both checkouts, with S the
+`run_seconds` of the change's BENCHMARK.json, the parent first in odd pairs
+and the change first in even ones.  Then each side makes one traced
 run (`--trace 1 --seconds 20 --seed 4`).  For every end-to-end metric of
 every workload it prints the median and quartiles of each side, the ratio
 of the medians and the pairs in which the change read better (ties count
 for neither), with "gain" marking a metric on which the change won at
-least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range.  The metric directions come from the
+least nine tenths of the pairs, the medians differ by more than the
+parent's interquartile range and the change failed no more operations than
+the parent.  The metric directions come from the
 change's BENCHMARK.json.  With --out it writes the pairs, the summary and
 the traced metrics as JSON.  Each checkout runs its own perfbench and
 src; PYTHONPATH is dropped from the environment.  Standard library only.
@@ -26,6 +28,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
 TRACE_SEED = 4
 TRACE_SECONDS = 20
 OPERATIONS_FIELDS = ["attempted", "failed", "correct"]
@@ -51,8 +54,14 @@ def _operations(result):
     return [result[f] for f in OPERATIONS_FIELDS]
 
 
+def failed(pairs, side):
+    """The operations that failed on one side, over all pairs."""
+    return sum(p["operations"][side][1] for p in pairs)
+
+
 def summarize(pairs, better):
     """Per metric: each side's median and quartiles, their ratio and the wins."""
+    fails_more = failed(pairs, "change") > failed(pairs, "parent")
     out = {}
     for key in pairs[0]["parent"]:
         lower = better[key.split(".", 1)[1]] == "lower"
@@ -69,7 +78,7 @@ def summarize(pairs, better):
             "change_quartiles": [q_chg[0], q_chg[2]],
             "change_over_parent": statistics.median(chg) / statistics.median(par),
             "change_wins": f"{wins}/{len(pairs)}",
-            "gain": 10 * wins >= 9 * len(pairs)
+            "gain": 10 * wins >= 9 * len(pairs) and not fails_more
             and (gap if lower else -gap) > q_par[2] - q_par[0],
         }
     return out
@@ -80,26 +89,23 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change_dir", type=Path)
     parser.add_argument("--change", required=True, help="one line naming the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     spec = json.loads((args.change_dir / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change_dir}
 
     pairs = []
-    for seed in range(1, args.pairs + 1):
+    for seed in range(1, PAIRS + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        results = {side: run_bench(sides[side], seed, args.seconds, 0) for side in order}
+        results = {side: run_bench(sides[side], seed, seconds, 0) for side in order}
         pairs.append({"seed": seed, "first": order[0],
                       "parent": _values(results["parent"]),
                       "change": _values(results["change"]),
                       "operations": {s: _operations(results[s]) for s in ("parent", "change")}})
-        print(f"pair {seed}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+        print(f"pair {seed}/{PAIRS} done ({order[0]} first)", file=sys.stderr)
     summary = summarize(pairs, better)
     trace = {"command": f"python3 perfbench/run.py --workload all --seconds {TRACE_SECONDS} "
                         f"--seed {TRACE_SEED} --trace 1"}
@@ -116,13 +122,13 @@ def main(argv=None):
                  f"{s[f'{side}_quartiles'][1]:.4g}] {unit}" for side in ("parent", "change")]
         print(f"{key:<{width}}  {cells[0]:>34}  {cells[1]:>34}  {s['change_over_parent']:.3f}  "
               f"{s['change_wins']}{'  gain' if s['gain'] else ''}")
-    failed = {s: sum(p["operations"][s][1] for p in pairs) for s in ("parent", "change")}
-    print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
+    print(f"failed operations: parent {failed(pairs, 'parent')}, "
+          f"change {failed(pairs, 'change')}")
 
     if args.out:
         record = {
             "change": args.change,
-            "harness": f"python3 perfbench/run.py --workload all --seconds {args.seconds} "
+            "harness": f"python3 perfbench/run.py --workload all --seconds {seconds} "
                        f"--seed N",
             "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                        f"python {platform.python_version()}, one BLAS thread",
@@ -133,8 +139,9 @@ def main(argv=None):
             "operations_fields": OPERATIONS_FIELDS,
             "note": "end_to_end: per metric, the medians and quartiles over the pairs, the "
                     "ratio of the medians, the pairs in which the change read better and "
-                    "whether that is a gain (at least nine tenths of the pairs and a median "
-                    "gap wider than the parent's interquartile range); pairs with odd seeds "
+                    "whether that is a gain (at least nine tenths of the pairs, a median "
+                    "gap wider than the parent's interquartile range and no more failed "
+                    "operations than the parent); pairs with odd seeds "
                     "ran the parent first",
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
