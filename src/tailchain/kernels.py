@@ -39,6 +39,8 @@ MAX_ORDER = 6          # Bell-number growth of the partition sums
 BRACKET_HIGH = 60.0    # exponential margins: P(X > 60) < 1e-26
 DEFAULT_PROB_TOL = 1e-10
 CHUNK_SIZE = 2048      # replicates per RNG stream; sampled values depend on it
+# ensemble inversion tolerance: far below any ensemble statistic's resolution
+ENSEMBLE_PROB_TOL = 1e-5
 
 # quadrature accuracy by use: ensemble sampling tolerates coarse lattices,
 # direct CDF evaluation gets the measure's full configured accuracy
@@ -307,14 +309,14 @@ class MaxStableModel(MarkovModel):
     slice_class = _MaxStableSlice
     kind = "max_stable"
 
-    def __init__(self, measure, allow_large_order=False):
+    def __init__(self, measure):
         k = measure.dim - 1
         if k < 1:
             raise ParameterError("measure dimension must be at least 2")
-        if k > MAX_ORDER and not allow_large_order:
+        if k > MAX_ORDER:
             raise ParameterError(
-                f"order {k} exceeds the default cap {MAX_ORDER} (partition count "
-                "grows like Bell numbers); pass allow_large_order=True to override")
+                f"order {k} exceeds the cap {MAX_ORDER} (partition count "
+                "grows like Bell numbers)")
         self.measure = measure
         self.k = k
 
@@ -341,20 +343,20 @@ def gaussian_model(rho):
     return GaussianCopulaModel(rho)
 
 
-def logistic_model(alpha, k, **kw):
-    return MaxStableModel(LogisticMeasure(alpha, k + 1), **kw)
+def logistic_model(alpha, k):
+    return MaxStableModel(LogisticMeasure(alpha, k + 1))
 
 
-def husler_reiss_model(cov, **measure_kw):
-    return MaxStableModel(HuslerReissMeasure(cov, **measure_kw))
+def husler_reiss_model(cov):
+    return MaxStableModel(HuslerReissMeasure(cov))
 
 
-def inverted_logistic_model(alpha, k, **kw):
-    return InvertedMaxStableModel(LogisticMeasure(alpha, k + 1), **kw)
+def inverted_logistic_model(alpha, k):
+    return InvertedMaxStableModel(LogisticMeasure(alpha, k + 1))
 
 
-def asym_logistic_model(params, **kw):
-    return MaxStableModel(AsymLogisticMeasure(params=params), **kw)
+def asym_logistic_model(params):
+    return MaxStableModel(AsymLogisticMeasure(params=params))
 
 
 # ---------------------------------------------------------------------------
@@ -502,33 +504,33 @@ def sample_initial_conditioned(model, u, rng, n, tol=DEFAULT_PROB_TOL,
     return np.stack(cols, axis=1)
 
 
-def _simulate_chunk(model, u, T, n, rng, tol, burn_in=0, grade="sampling"):
+def _simulate_chunk(model, u, T, n, rng, burn_in=0):
     k = model.k
     paths = np.empty((n, T + burn_in + 1))
-    paths[:, :k] = sample_initial_conditioned(model, u, rng, n, tol=tol, grade=grade)
+    paths[:, :k] = sample_initial_conditioned(model, u, rng, n, tol=ENSEMBLE_PROB_TOL,
+                                              grade="sampling")
     for t in range(k, T + burn_in + 1):
-        sl = model.kernel_slice(paths[:, t - k:t], grade=grade)
+        sl = model.kernel_slice(paths[:, t - k:t], grade="sampling")
         prob = rng.uniform(size=n)
-        paths[:, t] = sl.quantile(prob, tol)
+        paths[:, t] = sl.quantile(prob, ENSEMBLE_PROB_TOL)
     return paths[:, burn_in:]
 
 
-def simulate_conditioned_chain(model, u, T, n_rep, seed, tol=1e-5, burn_in=0,
-                               grade="sampling"):
+def simulate_conditioned_chain(model, u, T, n_rep, seed, burn_in=0):
     """Ensemble of chains started from X_0 > u; returns a PathEnsemble.
 
     Replicates are simulated in chunks of CHUNK_SIZE whose RNG streams are
     spawned from (seed, chunk index), so results depend on (model, u, T,
-    n_rep, seed) only.  The default inversion
-    tolerance and quadrature grade are Monte-Carlo grade: inversion error
-    1e-6 is far below any ensemble statistic's resolution; pass
-    tol=1e-10, grade="accurate" to sample at the single-draw contract.
+    n_rep, seed) only.  Draws use the "sampling" quadrature grade and the
+    inversion tolerance ENSEMBLE_PROB_TOL, both far below any ensemble
+    statistic's resolution; `kernel_sample` draws at the single-draw
+    contract.
     """
     if T < model.k:
         raise ParameterError("horizon T must be at least the order k")
     n_chunks = (n_rep + CHUNK_SIZE - 1) // CHUNK_SIZE
     blocks = [_simulate_chunk(model, u, T, min(CHUNK_SIZE, n_rep - i * CHUNK_SIZE),
-                              replicate_rng(seed, i), tol, burn_in=burn_in, grade=grade)
+                              replicate_rng(seed, i), burn_in=burn_in)
               for i in range(n_chunks)]
     data = np.concatenate(blocks, axis=0)
     return PathEnsemble(data=data, u=u, seed=seed, model=model.descriptor(),

@@ -179,18 +179,15 @@ class ConvergenceReport:
     seed: int
     tolerance: float
     runtime_s: float
-    decreasing: np.ndarray = field(default=None)       # per lag, strict
-    decreasing_tol: np.ndarray = field(default=None)   # per lag, noise-tolerant
-    final_pass: np.ndarray = field(default=None)       # per lag
+    decreasing: np.ndarray = field(init=False)       # per lag, strict
+    decreasing_tol: np.ndarray = field(init=False)   # per lag, noise-tolerant
+    final_pass: np.ndarray = field(init=False)       # per lag
 
     def __post_init__(self):
-        if self.decreasing is None:
-            self.decreasing = np.all(np.diff(self.ks, axis=0) < 0, axis=0)
-        if self.decreasing_tol is None:
-            band = 0.5 * 1.358 * np.sqrt(2.0 / self.n)
-            self.decreasing_tol = np.all(np.diff(self.ks, axis=0) < band, axis=0)
-        if self.final_pass is None:
-            self.final_pass = self.ks[-1] < self.tolerance
+        self.decreasing = np.all(np.diff(self.ks, axis=0) < 0, axis=0)
+        band = 0.5 * 1.358 * np.sqrt(2.0 / self.n)
+        self.decreasing_tol = np.all(np.diff(self.ks, axis=0) < band, axis=0)
+        self.final_pass = self.ks[-1] < self.tolerance
 
     def to_dict(self):
         return {"model": self.model, "tail_model": self.tail_model,
@@ -231,31 +228,21 @@ def convergence_diagnostic(model, tail_model, u_grid=(3.0, 6.0, 9.0), lags=None,
                              runtime_s=time.perf_counter() - t0)
 
 
-def kernel_limit_gap(model, tail_model, u, x_grid, offsets=None, grade="accurate"):
+def kernel_limit_gap(model, tail_model, u, x_grid):
     """Sup gap between the finite-level renormalized kernel CDF and its limit.
 
-    Conditions the kernel on states pinned at the norming curve
-    (offsets default to the theorem's anchor: zero for location normings,
-    one for pure scale norming), evaluates at the limit-scale grid, and
-    compares against the innovation law's CDF.
+    Conditions the kernel on states pinned at the norming curve at the
+    theorem's anchor (limit-scale value 0 for location normings, 1 for pure
+    scale norming), evaluates at the limit-scale grid, and compares against
+    the innovation law's CDF.
     """
     k = model.k
     x_grid = np.asarray(x_grid, dtype=float)
-    alpha = tail_model.alpha_seq(k)
-    beta = tail_model.beta_seq(k)
-    kind = tail_model.norming
-    if offsets is None:
-        offsets = np.zeros(k) if kind != "scale-only" else np.ones(k)
-    offsets = np.asarray(offsets, dtype=float)
     t = np.arange(k)
-    if kind == "scale-only":
-        states = u ** beta[t] * offsets
-        states[0] = u * offsets[0]
-        eval_pts = tail_model.b_fn(states) * x_grid
-    else:
-        states = alpha[t] * u + u ** beta[t] * offsets
-        states[0] = u + offsets[0]
-        eval_pts = tail_model.a_fn(states) + tail_model.b_fn(states) * x_grid
-    fin = kernel_cdf(model, np.tile(states, (x_grid.size, 1)), eval_pts, grade=grade)
+    anchor = 1.0 if tail_model.norming == "scale-only" else 0.0
+    states = tail_model.alpha_seq(k)[t] * u + u ** tail_model.beta_seq(k)[t] * anchor
+    states[0] = u
+    eval_pts = tail_model.a_fn(states) + tail_model.b_fn(states) * x_grid
+    fin = kernel_cdf(model, np.tile(states, (x_grid.size, 1)), eval_pts)
     lim = tail_model.innovation.cdf(x_grid)
     return float(np.max(np.abs(fin - lim))), np.asarray(fin), np.asarray(lim)

@@ -95,16 +95,14 @@ def _check_alpha_init(alpha_init, k):
     return a0
 
 
-def iterate_alpha(a, alpha_init, T, k=None):
+def iterate_alpha(a, alpha_init, T):
     """Forward iteration alpha_t = a(alpha_{t-k:t-1}), t = k..T.
 
-    `a` is any k-ary functional on windows ordered oldest to newest;
-    returns the full sequence alpha_0..alpha_T.
+    `a` is any k-ary functional on windows ordered oldest to newest; k is
+    `a.k` when `a` has one and the length of `alpha_init` otherwise.
+    Returns the full sequence alpha_0..alpha_T.
     """
-    if k is None:
-        k = getattr(a, "k", None)
-        if k is None:
-            k = len(np.atleast_1d(np.asarray(alpha_init)))
+    k = getattr(a, "k", len(np.atleast_1d(alpha_init)))
     alpha = np.empty(int(T) + 1)
     alpha[:k] = _check_alpha_init(alpha_init, k)
     delta = getattr(a, "delta", None)
@@ -253,22 +251,12 @@ def solve_delta_zero(fam, alpha_init):
 def solve_delta_inf(fam, alpha_init, T):
     """Forward substitution for delta = +inf (max) or -inf (min).
 
-    The limiting functional is c * extremum_i(gamma_i x_i); ties are broken
-    toward the smallest lag so repeated runs take identical branches.
+    The limiting functional is c * extremum_i(gamma_i x_i), which the family
+    evaluates itself, so the solution is the forward iteration.
     """
     if not np.isinf(fam.delta):
         raise DomainError("family must have delta = +-inf")
-    a0 = _check_alpha_init(alpha_init, fam.k)
-    k = fam.k
-    g = np.asarray(fam.gamma)
-    alpha = np.empty(int(T) + 1)
-    alpha[:k] = a0
-    sign = 1.0 if fam.delta > 0 else -1.0
-    for t in range(k, int(T) + 1):
-        window = alpha[t - k:t]
-        cands = [(g[k - lag] * window[k - lag], lag) for lag in range(1, k + 1)]
-        alpha[t] = fam.c * max(cands, key=lambda p: (sign * p[0], -p[1]))[0]
-    return alpha
+    return iterate_alpha(fam, alpha_init, T)
 
 
 def beta_sequence(beta, k, T):

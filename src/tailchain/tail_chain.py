@@ -9,8 +9,10 @@ regime-switching chain driven by latent Bernoulli mode indicators.
 `TailChainModel.update_functions` holds the one t >= k check.  The two
 difference-normed families share `_DifferenceTailChain`, whose update maps
 are the location functional itself and psi_b = 1, and the scalar
-innovation laws share inverse-CDF sampling.  `simulate_hidden_tail_chain`
-raises NumericalError on non-finite path values.
+innovation laws share inverse-CDF sampling.  The logistic profile law is the
+one quantile behind the logistic initial law, its innovation and the regime
+chain's tracked transitions.  Both simulators raise NumericalError on
+non-finite path values.
 
 Windows are ordered oldest to newest throughout, matching
 :mod:`tailchain.recurrence`.
@@ -20,7 +22,6 @@ from scipy.linalg import toeplitz
 from scipy.special import expit, ndtr, ndtri
 
 from .measures import husler_reiss_covariance
-from .mvnorm import mvn_cdf
 from .paths import PathEnsemble
 from .recurrence import beta_sequence, gaussian_yule_walker
 from .transforms import log_exp_to_frechet
@@ -29,6 +30,16 @@ from .utils import DomainError, NumericalError, ParameterError, logsumexp, repli
 
 # ---------------------------------------------------------------------------
 # innovation and initial laws (inverse-CDF sampling throughout)
+
+_LOG_DBL_MAX = np.log(np.finfo(float).max)
+
+
+def _log_expm1(z):
+    """log(e^z - 1) for z > 0; z itself where expm1 overflows, since there
+    log(e^z - 1) = z + log1p(-e^-z) rounds to z (Maechler 2012)."""
+    with np.errstate(over="ignore"):
+        return np.where(z > _LOG_DBL_MAX, z, np.log(np.expm1(z)))
+
 
 class _ScalarLaw:
     """Inverse-CDF sampling for the scalar innovation laws."""
@@ -62,8 +73,7 @@ class LogisticProfileLaw(_ScalarLaw):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        inner = np.expm1(np.log(p) / (self.alpha - self.m))
-        return -self.alpha * np.log(inner)
+        return -self.alpha * _log_expm1(np.log(p) / (self.alpha - self.m))
 
 
 class WeibullScaleLaw(_ScalarLaw):
@@ -100,11 +110,6 @@ class MultivariateNormalLaw:
         z = ndtri(rng.uniform(size=(n, self.dim)))
         return self.mean[None, :] + z @ self.chol.T
 
-    def cdf(self, x, points=4096, shifts=8):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        p, _ = mvn_cdf(x - self.mean[None, :], self.cov, points=points, shifts=shifts)
-        return p
-
 
 class LogisticProfileInitial:
     """Joint initial law with CDF (1 + sum exp(-x_i/alpha))^(alpha-1) on R^(k-1).
@@ -133,8 +138,7 @@ class LogisticProfileInitial:
         log_s = np.zeros(n)  # log(1 + sum of previous exp(-x/alpha))
         for j in range(1, self.dim + 1):
             u = rng.uniform(size=n)
-            inner = np.expm1(np.log(u) / (a - j))
-            out[:, j - 1] = -a * (log_s + np.log(inner))
+            out[:, j - 1] = -a * (log_s + _log_expm1(np.log(u) / (a - j)))
             log_s = np.logaddexp(log_s, -out[:, j - 1] / a)
         return out
 
@@ -145,19 +149,8 @@ class IIDLaw:
         self.dim = int(dim)
 
     def sample(self, rng, n):
-        cols = [self.law.sample(rng, n) for _ in range(self.dim)]
-        return np.stack(cols, axis=1)
-
-    def cdf(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.prod(self.law.cdf(x), axis=1)
-
-
-class _EmptyInitial:
-    dim = 0
-
-    def sample(self, rng, n):
-        return np.empty((n, 0))
+        # one row per coordinate: the same stream as dim successive draws of n
+        return self.law.quantile(rng.uniform(size=(self.dim, n))).T
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +220,10 @@ class GaussianARTailChain(TailChainModel):
         q = self.yw.precision
         self.q_kk = q[-1, -1]
         self.innovation = NormalLaw(0.0, np.sqrt(2.0 / self.q_kk))
-        if self.k > 1:
-            i = np.arange(1, self.k)
-            ri = self.rho_seq[i]
-            cov = 2.0 * np.outer(ri, ri) * (toeplitz(self.rho_seq[:self.k - 1])
-                                            - np.outer(ri, ri))
-            self.initial = MultivariateNormalLaw(np.zeros(self.k - 1), cov)
-        else:
-            self.initial = _EmptyInitial()
+        ri = self.rho_seq[1:self.k]
+        cov = 2.0 * np.outer(ri, ri) * (toeplitz(self.rho_seq[:self.k - 1])
+                                        - np.outer(ri, ri))
+        self.initial = MultivariateNormalLaw(np.zeros(self.k - 1), cov)
 
     def _rho(self, t):
         if t >= len(self.rho_seq):
@@ -304,7 +293,7 @@ class LogisticLocationTailChain(_DifferenceTailChain):
         self.alpha = _logistic_alpha(alpha)
         self.k = _order(k)
         self.innovation = LogisticProfileLaw(alpha, k)
-        self.initial = LogisticProfileInitial(alpha, k) if k > 1 else _EmptyInitial()
+        self.initial = LogisticProfileInitial(alpha, k)
 
     def a_fn(self, window):
         w = np.asarray(window, dtype=float)
@@ -331,17 +320,14 @@ class HuslerReissLocationTailChain(_DifferenceTailChain):
         # conditional is Gaussian-shaped with precision A_kk on this scale
         self.innovation = NormalLaw(-self.tau * qvec[-1] / qvec.sum(),
                                     np.sqrt(self.tau))
-        if self.k > 1:
-            sub = cov[:self.k, :self.k]
-            T0 = np.zeros((self.k - 1, self.k))
-            for r in range(self.k - 1):
-                T0[r, r + 1] = 1.0
-                T0[r, 0] = -1.0
-            sig0 = T0 @ sub @ T0.T
-            shift = np.array([cov[0, 0] - cov[0, j] for j in range(1, self.k)])
-            self.initial = MultivariateNormalLaw(-shift, sig0)
-        else:
-            self.initial = _EmptyInitial()
+        sub = cov[:self.k, :self.k]
+        T0 = np.zeros((self.k - 1, self.k))
+        for r in range(self.k - 1):
+            T0[r, r + 1] = 1.0
+            T0[r, 0] = -1.0
+        sig0 = T0 @ sub @ T0.T
+        shift = np.array([cov[0, 0] - cov[0, j] for j in range(1, self.k)])
+        self.initial = MultivariateNormalLaw(-shift, sig0)
 
     def a_fn(self, window):
         return np.asarray(window, dtype=float) @ self.coef
@@ -366,8 +352,7 @@ class InvertedLogisticScaleTailChain(TailChainModel):
         self.k = _order(k)
         self.beta = 1.0 - alpha
         self.innovation = WeibullScaleLaw(alpha)
-        self.initial = (IIDLaw(WeibullScaleLaw(alpha), k - 1)
-                        if k > 1 else _EmptyInitial())
+        self.initial = IIDLaw(self.innovation, k - 1)
 
     def _updates(self, t):
         k = self.k
@@ -418,14 +403,7 @@ def finite_level_remainder(model, t, x, v):
     alpha = model.alpha_seq(t)
     beta = model.beta_seq(t)
     window_t = np.arange(t - model.k, t)
-    a_vec = alpha[window_t] * v
-    b_vec = v ** beta[window_t]
-    if model.norming == "scale-only":
-        arg = b_vec * x
-        r_a = np.zeros(np.shape(psi_a(x)))
-        r_b = 1.0 - (v ** beta[t]) * psi_b(x) / model.b_fn(arg)
-        return r_a, r_b
-    arg = a_vec + b_vec * x
+    arg = alpha[window_t] * v + v ** beta[window_t] * x
     a_t = alpha[t] * v
     b_t = v ** beta[t]
     bfn = model.b_fn(arg)
@@ -445,8 +423,7 @@ def simulate_hidden_tail_chain(model, T, n_rep, seed):
     k = model.k
     data = np.empty((n_rep, T + 1))
     data[:, 0] = model.m0
-    if k > 1:
-        data[:, 1:k] = model.initial.sample(rng, n_rep)
+    data[:, 1:k] = model.initial.sample(rng, n_rep)
     for t in range(k, T + 1):
         psi_a, psi_b = model.update_functions(t)
         eps = model.innovation.sample(rng, n_rep)
@@ -506,6 +483,10 @@ class RegimeSwitchingTailChain:
         # latent-mode start: complement of the pair mass theta01 + theta012,
         # calibrated against the reported episode-length statistics
         self.p1_initial = p.theta0 + p.theta02
+        # tracked-mode transition laws, shifted by `location_shift`
+        self.tracked = {(1, 1): LogisticProfileLaw(p.nu012, 2.0),
+                        (1, 0): LogisticProfileLaw(p.nu02, 1.0),
+                        (0, 1): LogisticProfileLaw(p.nu01, 1.0)}
 
     def m11(self, x0, x1):
         """Mode-continuation probability given both previous states tracked."""
@@ -521,12 +502,6 @@ class RegimeSwitchingTailChain:
         return expit(-logratio)
 
     # --- profile laws -------------------------------------------------
-    @staticmethod
-    def _w_quantile(u, nu, power):
-        """Quantile of (1 + exp(-y/nu))^(nu - power)."""
-        inner = np.expm1(np.log(u) / (nu - power))
-        return -nu * np.log(inner)
-
     def location_shift(self, A, x0, x1):
         """a_{A,1}: the location functional of the tracked-mode transition."""
         p = self.params
@@ -539,14 +514,9 @@ class RegimeSwitchingTailChain:
         raise DomainError(f"no tracked-mode transition from regime {A}")
 
     def tracked_quantile(self, A, u):
-        p = self.params
-        if A == (1, 1):
-            return self._w_quantile(u, p.nu012, 2.0)
-        if A == (1, 0):
-            return self._w_quantile(u, p.nu02, 1.0)
-        if A == (0, 1):
-            return self._w_quantile(u, p.nu01, 1.0)
-        raise DomainError(f"no tracked-mode transition from regime {A}")
+        if A not in self.tracked:
+            raise DomainError(f"no tracked-mode transition from regime {A}")
+        return self.tracked[A].quantile(u)
 
     # --- body laws ----------------------------------------------------
     def _body_faces(self, A):
@@ -660,8 +630,9 @@ class RegimeSwitchingTailChain:
             ut = u[tracked]
             pick01 = ut < w          # deterministic composition split
             vals = np.empty(ut.shape)
-            vals[pick01] = self._w_quantile(ut[pick01] / w, p.nu01, 1.0)
-            vals[~pick01] = self._w_quantile((ut[~pick01] - w) / (1 - w), p.nu012, 1.0)
+            law012 = LogisticProfileLaw(p.nu012, 1.0)
+            vals[pick01] = self.tracked[(0, 1)].quantile(ut[pick01] / w)
+            vals[~pick01] = law012.quantile((ut[~pick01] - w) / (1 - w))
             out[tracked] = vals
         if np.any(~tracked):
             out[~tracked] = -np.log1p(-u[~tracked])
@@ -674,7 +645,8 @@ def simulate_regime_tail_chain(params, T, n_rep, seed):
     Returns a PathEnsemble whose extras carry the latent modes (int8, -1
     after termination), the termination times, and atom flags marking steps
     whose location-normalized view sits at an infinite atom (body-mode
-    steps).  Path values are NaN after termination.
+    steps).  Path values are NaN after termination; NumericalError is raised
+    when a value before termination is not finite.
     """
     model = RegimeSwitchingTailChain(params)
     rng = replicate_rng(seed, 0)
@@ -722,6 +694,8 @@ def simulate_regime_tail_chain(params, T, n_rep, seed):
         term[died] = t
         alive = alive & ~died
     term[alive] = 0  # 0 marks "did not terminate within the horizon"
+    if not np.all(np.isfinite(values[modes >= 0])):
+        raise NumericalError("regime_switching(asym_logistic) produced non-finite path values")
 
     # every write above is masked by `alive`, so steps after termination
     # keep their NaN values and -1 modes

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tailchain import tail_chain
 from tailchain.cli import _write_paths_csv, main, read_config
 from tailchain.paths import PathEnsemble
 
@@ -194,11 +195,22 @@ def test_tail_chain_bad_parameters_exit_2(tmp_path, capsys, args, error):
     assert not (tmp_path / "tail_chain_paths.csv").exists()
 
 
-def test_non_finite_tail_chain_exits_3(tmp_path, capsys):
-    # at alpha within 1e-13 of 1 and k = 1 the profile quantile overflows
+def test_non_finite_tail_chain_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tail_chain.LogisticProfileLaw, "quantile",
+                        lambda self, p: np.full(np.shape(p), -np.inf))
     code = _run(["--out", str(tmp_path), "simulate-tail-chain", "--kind", "logistic-rw",
-                 "--alpha", "0.9999999999999", "--k", "1", "--horizon", "3",
-                 "--n-rep", "10"])
+                 "--alpha", "0.5", "--k", "1", "--horizon", "3", "--n-rep", "10"])
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "NumericalError"
+
+
+def test_logistic_rw_near_unit_alpha_has_finite_paths(tmp_path):
+    # the profile quantile's expm1 overflowed here and the run exited 3
+    code = _run(["--out", str(tmp_path), "--seed", "1", "simulate-tail-chain",
+                 "--kind", "logistic-rw", "--alpha", "0.99", "--k", "1",
+                 "--horizon", "50", "--n-rep", "10000"])
+    assert code == 0
+    lines = (tmp_path / "tail_chain_paths.csv").read_text().splitlines()
+    assert len(lines) == 1 + 10_000 * 51
+    assert all(np.isfinite(float(line.rsplit(",", 1)[1])) for line in lines[1:])

@@ -30,8 +30,6 @@ def test_set_partitions_bell_counts():
 def test_order_cap():
     with pytest.raises(ParameterError):
         logistic_model(0.5, MAX_ORDER + 1)
-    m = logistic_model(0.5, MAX_ORDER + 1, allow_large_order=True)
-    assert m.k == MAX_ORDER + 1
 
 
 def test_logistic_first_order_kernel_against_direct_derivative():

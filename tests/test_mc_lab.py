@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest, norm
 
-from tailchain.kernels import (gaussian_model, husler_reiss_model, logistic_model,
+from tailchain.kernels import (gaussian_model, husler_reiss_model,
+                               inverted_logistic_model, logistic_model,
                                simulate_conditioned_chain)
 from tailchain.mc_lab import (ChiEstimate, chi_estimate, chi_from_paths,
                               convergence_diagnostic, kernel_limit_gap, ks_distance,
                               quantile_bands, renormalize)
 from tailchain.paths import PathEnsemble
 from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
-                                  LogisticLocationTailChain, simulate_hidden_tail_chain)
+                                  InvertedLogisticScaleTailChain, LogisticLocationTailChain,
+                                  simulate_hidden_tail_chain)
 from tailchain.utils import DomainError
 
 from conftest import FIG1_HR, FIG1_RHO
@@ -148,6 +150,15 @@ def test_kernel_limit_gap_logistic_at_high_thresholds(u):
     gap, _, _ = kernel_limit_gap(logistic_model(0.32, 5), LogisticLocationTailChain(0.32, 5),
                                  u, np.linspace(-5, 5, 21))
     assert gap < 1e-3
+
+
+def test_kernel_limit_gap_inverted_logistic_scale_only():
+    # scale-only norming pins the states at u^beta_t and compares on x > 0
+    gaps = [kernel_limit_gap(inverted_logistic_model(0.27, 3),
+                             InvertedLogisticScaleTailChain(0.27, 3),
+                             u, np.linspace(0.1, 5.0, 21))[0] for u in (30.0, 100.0, 400.0)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-2
 
 
 @pytest.mark.parametrize("u", [62.0, 100.0])

@@ -132,6 +132,13 @@ def test_innovation_quantile_cdf_round_trip(law):
     assert np.max(np.abs(law.cdf(law.quantile(p)) - p)) < 1e-10
 
 
+def test_profile_quantile_stays_finite_where_expm1_overflows():
+    # at alpha - m = -1e-13, log(p)/(alpha - m) exceeds log(DBL_MAX) for every p <= 0.5
+    law = tail_chain.LogisticProfileLaw(1 - 1e-13, 1)
+    q = law.quantile(np.geomspace(1e-300, 0.5, 200))
+    assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)
+
+
 def test_initial_samplers_match_their_cdfs(rng):
     li = LogisticLocationTailChain(FIG1_LOGISTIC_ALPHA, 5).initial
     smp = li.sample(rng, 20_000)
@@ -286,14 +293,24 @@ def test_regime_value_laws_are_proper_cdfs():
     model = RegimeSwitchingTailChain(SKEW_PARAMS)
     grid = np.linspace(-25.0, 25.0, 301)
     for A in ((1, 1), (1, 0), (0, 1)):
-        u = np.linspace(1e-6, 1 - 1e-6, 99)
+        # at the smallest positive level log(u)/(nu - m) is beyond expm1's range
+        u = np.concatenate([[5e-324], np.linspace(1e-6, 1 - 1e-6, 99)])
         q = model.tracked_quantile(A, u)
-        assert np.all(np.diff(q) > 0)
+        assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0)
     pos = np.linspace(1e-3, 50.0, 301)
     for A in ((1, 1), (1, 0), (0, 1)):
         c = model.body_cdf(A, pos, prev_body=1.3)
         assert np.all(np.diff(c) >= -1e-12)
         assert c[0] < 1e-2 and c[-1] > 1 - 1e-6
+
+
+# the injected -inf tracked values make m11 warn before the final check raises
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_regime_simulation_rejects_non_finite_values(monkeypatch):
+    monkeypatch.setattr(tail_chain.LogisticProfileLaw, "quantile",
+                        lambda self, p: np.full(np.shape(p), -np.inf))
+    with pytest.raises(NumericalError):
+        simulate_regime_tail_chain(FIG2_PARAMS, 5, 50, seed=1)
 
 
 def test_regime_body_law_matches_finite_level_kernel():
@@ -384,8 +401,6 @@ def test_body_quantile_returns_when_the_last_allowed_step_converges(monkeypatch)
         model.body_quantile((1, 0), np.array([0.3]), prev_body=1.3)
 
 
-# the tracked laws overflow to -inf at a level of 0, which then warns in m11
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_regime_simulation_accepts_uniform_draws_of_zero(monkeypatch):
     # rng.uniform draws from [0, 1); a level of exactly 0 must not abort the run
     class ZeroLevels:

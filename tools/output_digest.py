@@ -24,6 +24,11 @@ GAUSS_RHO = "0.7,0.57,0.47,0.39,0.33"
 RECURRENCE = ["solve-recurrence", "--c", "0.9", "--gamma", "0.2,0.3,0.5",
               "--alpha-init", "1,0.6,0.4", "--horizon", "40"]
 TAIL = ["simulate-tail-chain", "--horizon", "30", "--n-rep", "3000"]
+# order-1 tail chains, which have no initial law
+TAIL_K1 = [("gaussian-ar", ["--rho", "0.7"]),
+           ("logistic-rw", ["--alpha", "0.32", "--k", "1"]),
+           ("husler-reiss-rw", ["--cov-toeplitz", "1,0.9"]),
+           ("inverted-logistic-scale", ["--alpha", "0.27", "--k", "1"])]
 CHAIN = ["simulate-chain", "--u", "9", "--horizon", "10", "--n-rep", "2500"]
 
 # (name, seed, subcommand and flags)
@@ -44,11 +49,15 @@ COMMANDS = [
      TAIL + ["--kind", "inverted-logistic-scale", "--alpha", "0.27", "--k", "5"]),
     ("tail-regime-switching", 35, ["simulate-tail-chain", "--kind", "regime-switching",
                                    "--horizon", "40", "--n-rep", "2000"]),
-] + [(f"fig1{panel}", 41, ["fig1", "--panel", panel, "--horizon", "30", "--n-rep", "3000"])
-     for panel in "abcd"] + [
+] + [(f"tail-{kind}-k1", 36, TAIL + ["--kind", kind, *flags])
+      for kind, flags in TAIL_K1] + [
+    (f"fig1{panel}", 41, ["fig1", "--panel", panel, "--horizon", "30", "--n-rep", "3000"])
+    for panel in "abcd"] + [
     ("fig2", 42, ["fig2", "--horizon", "60", "--n-rep", "2000"]),
     ("recurrence-delta-0.5", 0, RECURRENCE + ["--delta", "0.5"]),
     ("recurrence-delta-0", 0, RECURRENCE + ["--delta", "0"]),
+    ("recurrence-delta-inf", 0, RECURRENCE + ["--delta", "inf"]),
+    ("recurrence-delta--inf", 0, RECURRENCE + ["--delta=-inf"]),
     ("beta-seq", 0, ["beta-seq", "--beta", "0.5", "--k", "3", "--horizon", "40"]),
     ("validate-logistic", 25, ["validate", "--family", "logistic", "--alpha", "0.32",
                                "--k", "5", "--u-grid", "3,6,9", "--n-rep", "2000"]),
