@@ -6,7 +6,7 @@ Monte Carlo diagnostics that compare conditioned chains against their
 limiting tail chains.
 """
 from .measures import (AsymLogisticMeasure, AsymLogisticParams, HuslerReissMeasure,
-                       LogisticMeasure, finite_difference_partial)
+                       LogisticMeasure)
 from .transforms import (exp_to_frechet, exp_to_gauss, exp_to_uniform, frechet_to_exp,
                          gauss_to_exp, uniform_to_exp)
 from .mvnorm import mvn_cdf, mvn_logcdf

@@ -12,9 +12,12 @@ Both max-stable kinds share one slice, `_PartitionSlice`; its denominator is
 the numerator at next state +inf, evaluated exactly.  Partition sums run
 entirely in log space: every partition term is nonnegative because mixed
 partials of valid exponent measures are nonpositive, so the sums are
-cancellation-free, and a zero partial's -inf log term needs no mask.  A
-partition slice's CDF value for a row depends on that row's states and
-argument alone.
+cancellation-free, and a zero partial's -inf log term needs no mask.  The
+measure supplies the sum (`partition_tail_evaluator`): the logistic families
+collapse the Bell-number sum over partitions to k terms, one per block
+count, and the Husler-Reiss and asymmetric logistic families add every
+partition's terms by `_PartitionScheme`.  A partition slice's CDF value for
+a row depends on that row's states and argument alone.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF.  Each row's bracket comes from a binary search over a fixed
 grid (at most 4 CDF row-evaluations), then a vectorized secant/bisection
@@ -23,8 +26,6 @@ kernel inverts exactly.
 Chains are simulated serially in chunks of CHUNK_SIZE replicates, each with
 its own RNG stream.
 """
-import functools
-
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
@@ -33,7 +34,7 @@ from .measures import (AsymLogisticMeasure, HuslerReissMeasure, LogisticMeasure)
 from .paths import PathEnsemble
 from .transforms import exp_to_gauss, gauss_to_exp, log_exp_to_frechet
 from .utils import (BracketError, DomainError, NumericalError, ParameterError,
-                    as_batch, logsumexp, replicate_rng)
+                    as_batch, replicate_rng)
 
 MAX_ORDER = 6          # Bell-number growth of the partition sums
 BRACKET_HIGH = 60.0    # exponential margins: P(X > 60) < 1e-26
@@ -52,65 +53,6 @@ def _graded(measure, grade):
     if grade not in _GRADES:
         raise ParameterError(f"unknown accuracy grade {grade!r}")
     return measure.with_accuracy(**_GRADES[grade])
-
-
-@functools.lru_cache(maxsize=None)
-def set_partitions(n):
-    """All set partitions of {0..n-1} as tuples of sorted tuples.
-
-    Enumerated via restricted-growth strings; cached per n.
-    """
-    if n == 0:
-        return ((),)
-    out = []
-
-    def grow(prefix, m):
-        i = len(prefix)
-        if i == n:
-            blocks = [[] for _ in range(m)]
-            for pos, b in enumerate(prefix):
-                blocks[b].append(pos)
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in range(m + 1):
-            grow(prefix + [b], max(m, b + 1))
-
-    grow([], 0)
-    return tuple(out)
-
-
-class _PartitionScheme:
-    """Partitions of {0..k-1} as rows of indices into `subsets`, padded with
-    len(subsets), an exact-zero term in `log_sum`."""
-
-    def __init__(self, k):
-        self.k = k
-        self.partitions = set_partitions(k)
-        subsets = sorted({j for p in self.partitions for j in p})
-        self.subsets = tuple(subsets)
-        index = {j: i for i, j in enumerate(subsets)}
-        pad = max(len(p) for p in self.partitions)
-        self.blocks = np.full((len(self.partitions), pad), len(subsets))
-        for r, p in enumerate(self.partitions):
-            self.blocks[r, :len(p)] = [index[j] for j in p]
-
-    def log_sum(self, log_terms):
-        """log sum over partitions of prod_{J in p} |V_J| for `log_terms`
-        (n_subsets, rows).  Each partition adds its block terms in a fixed
-        order (a zero partial's -inf log term stays -inf, so nothing is
-        masked), and each row then reduces its own partition terms along a
-        C-ordered last axis, which numpy sums in the same order for one row
-        as for many: a row's sum does not depend on the other rows."""
-        padded = np.concatenate([log_terms, np.zeros((1, log_terms.shape[1]))])
-        log_parts = padded[self.blocks[:, 0]]
-        for b in range(1, self.blocks.shape[1]):
-            log_parts += padded[self.blocks[:, b]]
-        return logsumexp(np.ascontiguousarray(log_parts.T), axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _scheme(k):
-    return _PartitionScheme(k)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +143,14 @@ class GaussianCopulaModel(MarkovModel):
 class _PartitionSlice:
     """P(X_k <= x | states) as a log-space ratio of partition sums.
 
-    The denominator is the numerator's limit as the next coordinate goes to
-    +inf, taken exactly with the same cached tail evaluators, so quadrature
-    bias largely cancels in the ratio.  Subclasses supply `_arg`, the map from
-    the exponential scale to the measure's log coordinates, and its log
-    Jacobian `_log_jacobian` (or None).
+    The measure's `partition_tail_evaluator` gives the numerator, the log
+    partition sum of its mixed partials over the k conditioning coordinates
+    as the next coordinate varies; the logistic families write it as a
+    k-term sum, the other families add the partition terms of per-subset
+    partial evaluators.  The denominator is the numerator's limit as the
+    next coordinate goes to +inf, taken exactly with the same evaluator, so
+    quadrature bias largely cancels in the ratio.  Subclasses supply `_arg`,
+    the map from the exponential scale to the measure's log coordinates.
 
     `perfbench/spans.py` instruments the slices by name, so these must hold:
     `_MaxStableSlice`, `_InvertedSlice` and `_GaussianSlice` each define their
@@ -222,26 +167,19 @@ class _PartitionSlice:
         states, _ = as_batch(states, k)
         self.n = states.shape[0]
         self.state_max = states.max(axis=1)
-        self.scheme = _scheme(k)
         logy = self._arg(states)
-        self.partial_evs = [measure.partial_tail_evaluator(J, logy)
-                            for J in self.scheme.subsets]
+        self.num_ev = measure.partition_tail_evaluator(logy)
         self.value_ev = measure.value_tail_evaluator(logy)
-        jac = self._log_jacobian(states)
-        self.log_jac = None if jac is None else np.stack(
-            [jac[:, J].sum(axis=1) for J in self.scheme.subsets], axis=0)
         top = np.full(self.n, np.inf)
-        self.log_den = self._log_num(top, None)
+        self.log_den = self.num_ev(top)
         self.v_marg = self.value_ev(top)
 
-    def _log_jacobian(self, states):
-        return None
-
-    def _log_num(self, logy_k, rows):
-        log_terms = np.stack([ev(logy_k, rows=rows) for ev in self.partial_evs], axis=0)
-        if self.log_jac is not None:
-            log_terms = log_terms + (self.log_jac if rows is None else self.log_jac[:, rows])
-        return self.scheme.log_sum(log_terms)
+    def _log_ratio(self, x, rows):
+        """Unclipped log of the ratio at positive `x` for the index array `rows`."""
+        logy_k = self._arg(x)
+        log_num = self.num_ev(logy_k, rows=rows)
+        v_full = self.value_ev(logy_k, rows=rows)
+        return log_num - self.log_den[rows] + (self.v_marg[rows] - v_full)
 
     def _ratio(self, x, rows):
         x = np.asarray(x, dtype=float)
@@ -251,11 +189,7 @@ class _PartitionSlice:
             return out
         sub = np.where(pos)[0]
         rsub = sub if rows is None else np.asarray(rows)[sub]
-        logy_k = self._arg(x[sub])
-        log_num = self._log_num(logy_k, rsub)
-        v_full = self.value_ev(logy_k, rows=rsub)
-        ratio = np.exp(np.minimum(
-            log_num - self.log_den[rsub] + (self.v_marg[rsub] - v_full), 0.0))
+        ratio = np.exp(np.minimum(self._log_ratio(x[sub], rsub), 0.0))
         out[pos] = 1.0 - ratio if self.complement else ratio
         return out
 
@@ -282,10 +216,11 @@ class _InvertedSlice(_PartitionSlice):
     """Inverted max-stable kernel, through W(x) = V(1/x).
 
     The survivor function's partition sums share the max-stable structure at
-    coordinates -log x, with log Jacobian -2 log x per differentiated
-    coordinate; the ratio is the conditional survivor and the CDF its
-    complement.  The limit x_k -> 0+ (coordinate +inf) marginalizes the next
-    coordinate out of the survivor.
+    coordinates -log x (the Jacobian, -2 log x per differentiated coordinate,
+    is the same in every partition and cancels in the ratio); the ratio is
+    the conditional survivor and the CDF its complement.  The limit
+    x_k -> 0+ (coordinate +inf) marginalizes the next coordinate out of the
+    survivor.
     """
 
     complement = True
@@ -295,9 +230,6 @@ class _InvertedSlice(_PartitionSlice):
 
     def _arg(self, x):
         return -np.log(x)
-
-    def _log_jacobian(self, states):
-        return -2.0 * np.log(states)
 
     def cdf(self, x, rows=None):
         return self._ratio(x, rows)

@@ -7,6 +7,9 @@ from a list of weighted faces.  Each measure exposes
 * ``value`` / ``log_value``        -- V(y), homogeneous of order -1
 * ``partial`` / ``log_abs_partial`` -- mixed partials V_J; V_J < 0 for every
   nonempty J, so magnitudes are carried in log space and the sign is implicit
+* ``partition_tail_evaluator``     -- log sum over the partitions of the
+  leading coordinates of the products of |V_J|, as the last coordinate
+  varies (the kernels' conditional CDFs); the logistic sums dim - 1 terms
 * ``margin``                       -- the lower-dimensional measure obtained
   by sending a subset of coordinates to infinity (all families are closed
   under margins, which is also how +inf arguments are resolved)
@@ -15,6 +18,7 @@ Arguments called ``logy`` are natural logs of the heavy-tailed-scale
 coordinates with shape (batch, dim); plain ``y`` entry points accept
 +inf coordinates as exact sentinels.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +50,68 @@ def _as_logy(y, dim):
         raise DomainError("coordinates must be positive")
     with np.errstate(divide="ignore"):
         return np.log(y)
+
+
+# ---------------------------------------------------------------------------
+# partition sums of mixed partials
+
+@functools.lru_cache(maxsize=None)
+def set_partitions(n):
+    """All set partitions of {0..n-1} as tuples of sorted tuples.
+
+    Enumerated via restricted-growth strings; cached per n.
+    """
+    if n == 0:
+        return ((),)
+    out = []
+
+    def grow(prefix, m):
+        i = len(prefix)
+        if i == n:
+            blocks = [[] for _ in range(m)]
+            for pos, b in enumerate(prefix):
+                blocks[b].append(pos)
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in range(m + 1):
+            grow(prefix + [b], max(m, b + 1))
+
+    grow([], 0)
+    return tuple(out)
+
+
+class _PartitionScheme:
+    """Partitions of {0..k-1} as rows of indices into `subsets`, padded with
+    len(subsets), an exact-zero term in `log_sum`."""
+
+    def __init__(self, k):
+        self.k = k
+        self.partitions = set_partitions(k)
+        subsets = sorted({j for p in self.partitions for j in p})
+        self.subsets = tuple(subsets)
+        index = {j: i for i, j in enumerate(subsets)}
+        pad = max(len(p) for p in self.partitions)
+        self.blocks = np.full((len(self.partitions), pad), len(subsets))
+        for r, p in enumerate(self.partitions):
+            self.blocks[r, :len(p)] = [index[j] for j in p]
+
+    def log_sum(self, log_terms):
+        """log sum over partitions of prod_{J in p} |V_J| for `log_terms`
+        (n_subsets, rows).  Each partition adds its block terms in a fixed
+        order (a zero partial's -inf log term stays -inf, so nothing is
+        masked), and each row then reduces its own partition terms along a
+        C-ordered last axis, which numpy sums in the same order for one row
+        as for many: a row's sum does not depend on the other rows."""
+        padded = np.concatenate([log_terms, np.zeros((1, log_terms.shape[1]))])
+        log_parts = padded[self.blocks[:, 0]]
+        for b in range(1, self.blocks.shape[1]):
+            log_parts += padded[self.blocks[:, b]]
+        return logsumexp(np.ascontiguousarray(log_parts.T), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme(k):
+    return _PartitionScheme(k)
 
 
 class ExponentMeasure:
@@ -108,6 +174,21 @@ class ExponentMeasure:
             return np.exp(self.log_value(logy))
         return evaluate
 
+    def partition_tail_evaluator(self, logy_head):
+        """Callable giving log sum_P prod_{J in P} |V_J| as the last
+        coordinate varies, P running over the partitions of the head
+        coordinates 0..dim-2; same call convention as the evaluators above.
+
+        By default every subset gets a `partial_tail_evaluator` and
+        `_PartitionScheme.log_sum` adds the partitions' terms.
+        """
+        scheme = _scheme(self.dim - 1)
+        evs = [self.partial_tail_evaluator(J, logy_head) for J in scheme.subsets]
+
+        def evaluate(logy_last, rows=None):
+            return scheme.log_sum(np.stack([ev(logy_last, rows=rows) for ev in evs], axis=0))
+        return evaluate
+
     def with_accuracy(self, **kw):
         """Copy with adjusted quadrature settings; no-op for closed forms."""
         return self
@@ -140,6 +221,19 @@ def _face_log_abs_partial(coords, weight, nu, J, logy):
     return const + (nu - m) * s + (-1.0 / nu - 1.0) * logy[:, J].sum(axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _logistic_partition_log_coefs(alpha, k):
+    """C_1..C_k: C_m = log sum over the partitions of {0..k-1} into m blocks
+    of prod_J exp(c_|J|), with c_n = (1 - n) log alpha + sum_{i<n} log(i - alpha)
+    the constant of an n-fold logistic partial; every term is positive."""
+    c = [(1.0 - n) * math.log(alpha) + sum(math.log(i - alpha) for i in range(1, n))
+         for n in range(k + 1)]
+    terms = [[] for _ in range(k + 1)]
+    for p in set_partitions(k):
+        terms[len(p)].append(sum(c[len(J)] for J in p))
+    return tuple(float(logsumexp(np.array(t), axis=0)) for t in terms[1:])
+
+
 class LogisticMeasure(ExponentMeasure):
     """Symmetric logistic: V(y) = (sum_i y_i^(-1/alpha))^alpha, alpha in (0,1)."""
 
@@ -158,6 +252,37 @@ class LogisticMeasure(ExponentMeasure):
     def log_abs_partial(self, J, logy):
         J = _check_subset(J, self.dim)
         return _face_log_abs_partial(self._coords, 1.0, self.alpha, J, logy)
+
+    def partition_tail_evaluator(self, logy_head):
+        """The partition sum in k = dim - 1 terms (Shi 1995).
+
+        log|V_J| = c_|J| + (alpha - |J|) s + (-1/alpha - 1) sum_{j in J} log y_j
+        with s = logsumexp(-log y / alpha), so the sum over the partitions of
+        the head is (-1/alpha - 1) sum_j log y_j + logsumexp_m [C_m + (m alpha - k) s]
+        with C_m from `_logistic_partition_log_coefs`.  s of the head is
+        computed once; a +inf last coordinate leaves it exact.
+        """
+        a, k = self.alpha, self.dim - 1
+        log_coefs = np.array(_logistic_partition_log_coefs(a, k))
+        slopes = a * np.arange(1, k + 1) - k
+        s_head = logsumexp(-logy_head / a, axis=1)
+        base = (-1.0 / a - 1.0) * logy_head.sum(axis=1)
+
+        def evaluate(logy_last, rows=None):
+            sh, b = (s_head, base) if rows is None else (s_head[rows], base[rows])
+            s = np.logaddexp(sh, -logy_last / a)
+            return b + logsumexp(log_coefs + s[:, None] * slopes, axis=1)
+        return evaluate
+
+    def value_tail_evaluator(self, logy_head):
+        """V = exp(alpha s), with s of the head computed once."""
+        a = self.alpha
+        s_head = logsumexp(-logy_head / a, axis=1)
+
+        def evaluate(logy_last, rows=None):
+            sh = s_head if rows is None else s_head[rows]
+            return np.exp(a * np.logaddexp(sh, -logy_last / a))
+        return evaluate
 
     def margin(self, coords):
         return LogisticMeasure(self.alpha, len(tuple(coords)))
@@ -470,41 +595,3 @@ class HuslerReissMeasure(ExponentMeasure):
     def descriptor(self):
         return f"husler_reiss(dim={self.dim})"
 
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-def finite_difference_partial(fn, J, y, base_step=None, richardson=True):
-    """Adaptive central finite differences; the independent derivative oracle.
-
-    `fn` maps a coordinate vector to a scalar.  The step is
-    eps^(1/(|J|+2)) * scale per differentiated coordinate, which balances
-    truncation against rounding for mixed stencils; one Richardson
-    extrapolation level (on by default) removes the leading h^2 term.
-    """
-    y = np.asarray(y, dtype=float)
-    J = list(J)
-    m = len(J)
-    if base_step is None:
-        # with extrapolation the truncation is O(h^4), so the optimum step
-        # balancing rounding ~ eps/h^m sits higher than the plain stencil's
-        base_step = np.finfo(float).eps ** (1.0 / (m + 4 if richardson else m + 2))
-
-    def stencil(step):
-        def rec(point, pending):
-            if not pending:
-                return fn(point)
-            j = pending[0]
-            h = step * max(1.0, abs(point[j]))
-            up = point.copy()
-            up[j] += h
-            dn = point.copy()
-            dn[j] -= h
-            return (rec(up, pending[1:]) - rec(dn, pending[1:])) / (2.0 * h)
-        return rec(y.copy(), J)
-
-    if not richardson:
-        return stencil(base_step)
-    coarse = stencil(base_step)
-    fine = stencil(base_step / 2.0)
-    return (4.0 * fine - coarse) / 3.0

@@ -7,10 +7,9 @@ from tailchain.kernels import (BRACKET_HIGH, DEFAULT_PROB_TOL, MAX_ORDER,
                                asym_logistic_model, gaussian_model, husler_reiss_model,
                                inverted_logistic_model, kernel_cdf,
                                kernel_quantile, kernel_sample, logistic_model,
-                               sample_initial_conditioned, set_partitions,
-                               simulate_conditioned_chain,
+                               sample_initial_conditioned, simulate_conditioned_chain,
                                simulate_stationary_chain)
-from tailchain.measures import AsymLogisticMeasure, AsymLogisticParams
+from tailchain.measures import AsymLogisticMeasure, AsymLogisticParams, set_partitions
 from tailchain.transforms import exp_to_frechet, exp_to_gauss
 from tailchain.utils import BracketError, DomainError, NumericalError, ParameterError
 
@@ -253,21 +252,33 @@ def test_kernel_cdf_and_quantile_row_by_row_equal_the_batch(family, grade):
 
 def test_log_space_partition_sums_match_naive():
     # direct signed products of the mixed partials, no log-space tricks
-    from tailchain.kernels import _scheme
     for m in [logistic_model(0.4, 3), asym_logistic_model(FIG2_PARAMS)]:
         k = m.k
-        scheme = _scheme(k)
         y = exp_to_frechet(np.concatenate([np.linspace(2.0, 4.0, k), [2.5]]))
         naive = 0.0
-        for p in scheme.partitions:
+        for p in set_partitions(k):
             term = (-1.0) ** len(p)
             for J in p:
                 term *= m.measure.partial(J, y)
             naive += term
-        log_terms = np.stack([m.measure.log_abs_partial(J, np.log(y)[None, :])
-                              for J in scheme.subsets], axis=0)
-        log_sum = scheme.log_sum(log_terms)
+        logy = np.log(y)[None, :]
+        log_sum = m.measure.partition_tail_evaluator(logy[:, :k])(logy[:, k])
         assert np.exp(log_sum[0]) == pytest.approx(naive, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.32, 0.95])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_logistic_ratios_need_no_clip(k, alpha):
+    # the conditional ratio's unclipped log stays at or below 0 for both
+    # logistic kernels, so the clip in _PartitionSlice._ratio acts on the
+    # Husler-Reiss quadrature only
+    rng = np.random.default_rng(k)
+    states = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), size=(30, k)))
+    x = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), size=30))
+    rows = np.arange(30)
+    for model in (logistic_model(alpha, k), inverted_logistic_model(alpha, k)):
+        sl = model.kernel_slice(states, grade="sampling")
+        assert np.max(sl._log_ratio(x, rows)) <= 1e-12
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():

@@ -5,10 +5,12 @@ from scipy.integrate import dblquad, quad
 from scipy.linalg import toeplitz
 from scipy.stats import norm
 
-from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams,
-                                HuslerReissMeasure, LogisticMeasure,
-                                finite_difference_partial)
+from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams, ExponentMeasure,
+                                HuslerReissMeasure, LogisticMeasure)
+from tailchain.transforms import log_exp_to_frechet
 from tailchain.utils import DomainError, ParameterError
+
+from conftest import finite_difference_partial
 
 FIG2_PARAMS = AsymLogisticParams(0.3, 0.3, 0.3, 0.3, 0.3, 0.1, 0.5, 0.5, 0.5)
 
@@ -86,6 +88,28 @@ def test_logistic_partial_unit_point():
         m = LogisticMeasure(alpha, 2)
         assert m.partial((0,), [1.0, 1.0]) == pytest.approx(-(2.0 ** (alpha - 1)),
                                                             rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.32, 0.95])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_logistic_tail_evaluators_match_the_generic_path(k, alpha):
+    # the k-term partition sum and the cached value against the base class's
+    # per-subset partials and _PartitionScheme, the oracle; exponential-scale
+    # states from 1e-6 to 200 go through both kernel argument maps
+    # (log-Frechet and -log x), and a few last coordinates are +inf
+    m = LogisticMeasure(alpha, k + 1)
+    rng = np.random.default_rng(k)
+    x = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), size=(30, k + 1)))
+    logy = np.concatenate([log_exp_to_frechet(x), -np.log(x)])
+    logy[::7, k] = np.inf
+    head, last = logy[:, :k], logy[:, k]
+    rows = np.arange(3, head.shape[0], 4)
+    for name in ("partition_tail_evaluator", "value_tail_evaluator"):
+        fast = getattr(m, name)(head)
+        expected = getattr(ExponentMeasure, name)(m, head)(last)
+        np.testing.assert_allclose(fast(last), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fast(last[rows], rows=rows), expected[rows],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_partials_match_finite_differences():

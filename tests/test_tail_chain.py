@@ -6,8 +6,7 @@ from scipy.stats import kstest, norm
 
 from tailchain.kernels import asym_logistic_model, gaussian_model, kernel_cdf
 from tailchain.mc_lab import renormalize
-from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams,
-                                finite_difference_partial)
+from tailchain.measures import AsymLogisticMeasure, AsymLogisticParams
 from tailchain import tail_chain
 from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                                   InvertedLogisticScaleTailChain,
@@ -18,7 +17,8 @@ from tailchain.tail_chain import (GaussianARTailChain, HuslerReissLocationTailCh
 from tailchain.transforms import exp_to_frechet
 from tailchain.utils import DomainError, NumericalError, ParameterError
 
-from conftest import FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO
+from conftest import (FIG1_HR, FIG1_INVERTED_ALPHA, FIG1_LOGISTIC_ALPHA, FIG1_RHO,
+                      finite_difference_partial)
 
 FIG2_PARAMS = AsymLogisticParams(0.3, 0.3, 0.3, 0.3, 0.3, 0.1, 0.5, 0.5, 0.5)
 SKEW_PARAMS = AsymLogisticParams(0.4, 0.35, 0.4, 0.25, 0.2, 0.15, 0.35, 0.6, 0.55)

@@ -35,6 +35,8 @@ CHAIN = ["simulate-chain", "--u", "9", "--horizon", "10", "--n-rep", "2500"]
 COMMANDS = [
     ("chain-gaussian", 20, CHAIN + ["--family", "gaussian", "--rho", GAUSS_RHO]),
     ("chain-logistic", 21, CHAIN + ["--family", "logistic", "--alpha", "0.32", "--k", "5"]),
+    # the order cap, kernels.MAX_ORDER: 203 partitions of the conditioning states
+    ("chain-logistic-k6", 26, CHAIN + ["--family", "logistic", "--alpha", "0.32", "--k", "6"]),
     ("chain-inverted-logistic", 22,
      CHAIN + ["--family", "inverted-logistic", "--alpha", "0.27", "--k", "5"]),
     ("chain-asym-logistic", 23, CHAIN + ["--family", "asym-logistic"]),
