@@ -20,9 +20,10 @@ partition's terms by `_PartitionScheme`.  A partition slice's CDF value for
 a row depends on that row's states and argument alone.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF.  Each row's bracket comes from a binary search over a fixed
-grid (at most 4 CDF row-evaluations), then a vectorized secant/bisection
-hybrid refines it; both fail loudly on non-finite CDF values.  The Gaussian
-kernel inverts exactly.
+grid (at most 4 CDF row-evaluations), then vectorized Chandrupatla steps
+(inverse-quadratic interpolation safeguarded by bisection) in log x and
+logit F refine it, from the CDF values the search already holds; both fail
+loudly on non-finite CDF values.  The Gaussian kernel inverts exactly.
 Chains are simulated serially in chunks of CHUNK_SIZE replicates, each with
 its own RNG stream.
 """
@@ -78,7 +79,8 @@ class MarkovModel:
 class _GaussianSlice:
     def __init__(self, weights, sd, states):
         z = exp_to_gauss(states)
-        self.mean = z @ weights
+        # a column sum in fixed order, so a row's mean ignores the rest of the batch
+        self.mean = sum(z[:, j] * w for j, w in enumerate(weights))
         self.sd = sd
 
     def cdf(self, x, rows=None):
@@ -316,20 +318,36 @@ def kernel_cdf(model, states, x, grade="accurate"):
 
 _GRID_FRACTIONS = np.array([0.4, 1.2, 2.5, 4.0, 6.0, 8.5, 11.5, 15.0, 20.0,
                             28.0, 42.0, BRACKET_HIGH]) / BRACKET_HIGH
+_LOW_END = 1e-12       # lower end below the first grid point, as a fraction of it
+_STEP_CLIP = 1e-3      # refinement steps keep this fraction of the bracket off its ends
 _MAX_ITER = 200        # refinement steps before inversion fails loudly
 
 
+def _logit(f):
+    with np.errstate(divide="ignore"):
+        return np.log(f) - np.log1p(-f)
+
+
 def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL):
-    """Vectorized inverse CDF: bracketed bisection with secant acceleration.
+    """Vectorized inverse CDF: a grid bracket, then Chandrupatla steps.
 
     Each row's root is first bracketed by a binary search over a fixed grid
-    of 12 points, at most 4 CDF row-evaluations per row; refinement then
-    solves cdf(x) = prob per row to probability tolerance `tol`.  Support is
-    the positive half-line, so the lower bracket never fails.  Each row's
-    upper bracket is BRACKET_HIGH above its own largest conditioning state
-    (the conditional mass beyond that is below 1e-26 for every implemented
-    family); failure there signals parameter pathology.  Non-finite CDF
-    values raise NumericalError.  A row's quantile depends on that row alone.
+    of 12 points, at most 4 CDF row-evaluations per row.  Chandrupatla's
+    method (1997, Adv. Eng. Softw. 28) then refines the bracket in log x
+    and logit F, where kernel CDFs are close to linear: a secant step from
+    the ends the search already evaluated, then inverse-quadratic steps
+    where Chandrupatla's criterion allows and bisection otherwise (always
+    next to an end with F = 0 or 1), each kept _STEP_CLIP of the bracket
+    off its ends.  A row stops once |F - prob| <= tol or its bracket is
+    narrower than 1e-13 (relative above 1).  Each row's upper bracket is
+    BRACKET_HIGH above its own largest conditioning state (the conditional
+    mass beyond that is below 1e-26 for every implemented family); failure
+    there signals parameter pathology.  Below the first grid point, log x
+    needs a positive lower end: _LOW_END times that point, evaluated once,
+    which is the answer within tol of the target and raises BracketError
+    above it.  Non-finite CDF values and rows unconverged after _MAX_ITER
+    steps raise NumericalError.  Evaluations cover only the rows still
+    searching, and a row's quantile depends on that row alone.
     """
     def finite(f):
         if not np.all(np.isfinite(f)):
@@ -340,8 +358,8 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL):
     n = prob.shape[0]
     size = _GRID_FRACTIONS.size
     grid = np.outer(BRACKET_HIGH + sl.state_max, _GRID_FRACTIONS)
-    # grid indices with F(grid[i_lo]) < prob <= F(grid[i_hi]); index -1 is
-    # x = 0 with F = 0 and index `size` lies past the grid
+    # grid indices with F(grid[i_lo]) < prob <= F(grid[i_hi]); index -1 lies
+    # below the grid and index `size` past it
     i_lo = np.full(n, -1)
     i_hi = np.full(n, size)
     f_lo = np.zeros(n)
@@ -362,38 +380,55 @@ def _invert_slice(sl, prob, tol=DEFAULT_PROB_TOL):
             f"{bad} target probabilities not bracketed by the upper bracket; "
             "kernel parameters are pathological")
     every = np.arange(n)
-    lo = np.where(i_lo < 0, 0.0, grid[every, i_lo])
+    lo = grid[every, i_lo]
     hi = grid[every, i_hi]
-    f_lo = f_lo - prob
-    f_hi = f_hi - prob
-    x = 0.5 * (lo + hi)
-    fx = finite(sl.cdf(x)) - prob
-    active = np.abs(fx) > tol
-    for it in range(_MAX_ITER):
-        if not np.any(active):
+    rows = np.where(i_lo < 0)[0]
+    if rows.size:
+        lo[rows] = _LOW_END * grid[rows, 0]
+        f_lo[rows] = finite(sl.cdf(lo[rows], rows=rows))
+        bad = int(np.sum(f_lo[rows] > prob[rows] + tol))
+        if bad:
+            raise BracketError(
+                f"{bad} target probabilities lie below the kernel CDF at the "
+                "lower bracket end")
+    err_lo = np.abs(f_lo - prob)
+    err_hi = np.abs(f_hi - prob)
+    x = np.where(err_hi <= err_lo, hi, lo)
+    rows = np.where(np.minimum(err_lo, err_hi) > tol)[0]
+    # Chandrupatla's points in (y, g) = (log x, logit F - logit prob), per
+    # row still refining: 1 the newest, 2 the bracket end across the root
+    # from it, 3 the point dropped last (none before the first, secant, step)
+    p = prob[rows]
+    logit_p = _logit(p)
+    y1, y2 = np.log(lo[rows]), np.log(hi[rows])
+    f1 = f_lo[rows]
+    g1, g2 = _logit(f1) - logit_p, _logit(f_hi[rows]) - logit_p
+    y3, g3 = y2, g2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(np.isfinite(g1 + g2), g1 / (g1 - g2), 0.5)
+    for _ in range(_MAX_ITER):
+        if not rows.size:
             break
-        neg = fx < 0
-        lo = np.where(active & neg, x, lo)
-        f_lo = np.where(active & neg, fx, f_lo)
-        hi = np.where(active & ~neg, x, hi)
-        f_hi = np.where(active & ~neg, fx, f_hi)
-        width = hi - lo
-        denom = f_hi - f_lo
+        yt = y1 + np.clip(t, _STEP_CLIP, 1.0 - _STEP_CLIP) * (y2 - y1)
+        xt = np.exp(yt)
+        ft = finite(sl.cdf(xt, rows=rows))
+        x[rows] = xt
+        same = (ft < p) == (f1 < p)
+        y3, g3 = np.where(same, y1, y2), np.where(same, g1, g2)
+        y2, g2 = np.where(same, y2, y1), np.where(same, g2, g1)
+        y1, g1, f1 = yt, _logit(ft) - logit_p, ft
         with np.errstate(divide="ignore", invalid="ignore"):
-            sec = lo - f_lo * width / denom
-        mid = 0.5 * (lo + hi)
-        # false-position steps stagnate on steep kernels, so force a true
-        # bisection every third iteration to guarantee bracket collapse
-        good = (denom > 0) & (sec > lo + 0.01 * width) & (sec < hi - 0.01 * width) \
-            & (it % 3 != 2)
-        prop = np.where(good, sec, mid)
-        rows = np.where(active)[0]
-        fx_new = finite(sl.cdf(prop[rows], rows=rows)) - prob[rows]
-        x[rows] = prop[rows]
-        fx[rows] = fx_new
-        tiny = width < 1e-13 * np.maximum(1.0, hi)
-        active = (np.abs(fx) > tol) & ~tiny
-    else:
+            xi = (y1 - y2) / (y3 - y2)
+            phi = (g1 - g2) / (g3 - g2)
+            iqi = ((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                   & np.isfinite(g1 + g2 + g3))
+            t = np.where(iqi, g1 / (g1 - g2) * g3 / (g3 - g2)
+                         - (y3 - y1) / (y2 - y1) * g1 / (g3 - g1) * g2 / (g2 - g3), 0.5)
+        tiny = np.abs(y2 - y1) * xt < 1e-13 * np.maximum(1.0, xt)
+        keep = (np.abs(ft - p) > tol) & ~tiny
+        rows, p, logit_p, f1, y1, y2, y3, g1, g2, g3, t = (
+            a[keep] for a in (rows, p, logit_p, f1, y1, y2, y3, g1, g2, g3, t))
+    if rows.size:
         raise NumericalError("kernel inversion did not converge")
     return x
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
+from tailchain import kernels
 from tailchain.kernels import (BRACKET_HIGH, DEFAULT_PROB_TOL, MAX_ORDER,
                                _GRID_FRACTIONS, _invert_slice,
                                asym_logistic_model, gaussian_model, husler_reiss_model,
@@ -234,10 +235,8 @@ def test_slice_rows_do_not_depend_on_their_batch(family, grade):
 
 
 @pytest.mark.parametrize("grade", ["sampling", "accurate"])
-@pytest.mark.parametrize("family", [f for f in _CONTRACT_MODELS if f != "gaussian"])
+@pytest.mark.parametrize("family", list(_CONTRACT_MODELS))
 def test_kernel_cdf_and_quantile_row_by_row_equal_the_batch(family, grade):
-    # the Gaussian kernel is left out: its conditional mean is one BLAS
-    # matrix-vector product over the batch, kept for its sampled bytes
     m = _CONTRACT_MODELS[family]()
     rng, states, x = _contract_inputs(m, 12, 2)
     batch = kernel_cdf(m, states, x, grade=grade)
@@ -323,8 +322,10 @@ def test_non_finite_cdf_fails_loudly():
 
 
 def _rational_cdf(x, scale):
-    # increasing from 0 to 1; arithmetic only, so it rounds alike in any batch
-    return x / (x + scale)
+    # increasing from 0 to 1 and curved in (log x, logit F), so refinement
+    # takes several steps; arithmetic only, so it rounds alike in any batch
+    r = x / (x + scale)
+    return r * r
 
 
 class _LoggedSlice:
@@ -342,32 +343,47 @@ class _LoggedSlice:
         return _rational_cdf(x, self.scale[rows])
 
 
+def _logit(f):
+    with np.errstate(divide="ignore"):
+        return np.log(f) - np.log1p(-f)
+
+
 def _grid_sweep_quantile(scale, state_max, p, tol):
-    """One row's quantile by the full grid sweep and count rule, then the
-    secant/bisection refinement of `_invert_slice` written for one row."""
+    """One row's quantile by the full grid sweep and count rule, then
+    Chandrupatla's method in (log x, logit F) written out for one row."""
     grid = (BRACKET_HIGH + state_max) * _GRID_FRACTIONS
     grid_f = _rational_cdf(grid, scale)
     pos = int(np.sum(grid_f < p))
-    lo, f_lo = (0.0, 0.0) if pos == 0 else (grid[pos - 1], grid_f[pos - 1])
+    lo = grid[0] * 1e-12 if pos == 0 else grid[pos - 1]
     hi, f_hi = grid[pos], grid_f[pos]
-    f_lo, f_hi = f_lo - p, f_hi - p
-    x = 0.5 * (lo + hi)
-    fx = _rational_cdf(x, scale) - p
-    it = 0
-    while abs(fx) > tol:
-        if fx < 0:
-            lo, f_lo = x, fx
+    f_lo = _rational_cdf(lo, scale)
+    if min(abs(f_lo - p), abs(f_hi - p)) <= tol:
+        return hi if abs(f_hi - p) <= abs(f_lo - p) else lo
+    logit_p = _logit(p)
+    # points in (log x, logit F - logit p): 1 the newest, 2 the bracket end
+    # across the root from it, 3 the point dropped last
+    y1, g1, f1 = np.log(lo), _logit(f_lo) - logit_p, f_lo
+    y2, g2 = np.log(hi), _logit(f_hi) - logit_p
+    t = g1 / (g1 - g2) if np.isfinite(g1 + g2) else 0.5   # secant first
+    while True:
+        y = y1 + min(max(t, 1e-3), 1.0 - 1e-3) * (y2 - y1)
+        x = np.exp(y)
+        f = _rational_cdf(x, scale)
+        if (f < p) == (f1 < p):
+            y3, g3 = y1, g1
         else:
-            hi, f_hi = x, fx
-        width, denom = hi - lo, f_hi - f_lo
-        sec = lo - f_lo * width / denom if denom > 0 else lo
-        good = denom > 0 and lo + 0.01 * width < sec < hi - 0.01 * width and it % 3 != 2
-        x = sec if good else 0.5 * (lo + hi)
-        fx = _rational_cdf(x, scale) - p
-        if width < 1e-13 * max(1.0, hi):
-            break
-        it += 1
-    return x
+            y3, g3 = y2, g2
+            y2, g2 = y1, g1
+        y1, g1, f1 = y, _logit(f) - logit_p, f
+        if abs(f - p) <= tol or abs(y2 - y1) * x < 1e-13 * max(1.0, x):
+            return x
+        xi, phi = (y1 - y2) / (y3 - y2), (g1 - g2) / (g3 - g2)
+        if np.isfinite(g1 + g2 + g3) and 1.0 - np.sqrt(1.0 - xi) < phi < np.sqrt(xi):
+            # inverse-quadratic interpolation through the three points
+            t = (g1 / (g1 - g2) * g3 / (g3 - g2)
+                 - (y3 - y1) / (y2 - y1) * g1 / (g3 - g1) * g2 / (g2 - g3))
+        else:
+            t = 0.5
 
 
 @pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
@@ -396,6 +412,95 @@ def test_bracket_search_matches_the_grid_sweep(tol):
     p[5] = 0.5 * (grid_f[5, -1] + 1.0)             # past the last grid point
     with pytest.raises(BracketError):
         _invert_slice(_LoggedSlice(scale, state_max), p, tol=tol)
+
+
+class _StubSlice:
+    """A slice on zero states whose CDF is `fn` in every row."""
+
+    def __init__(self, fn, n):
+        self.fn = fn
+        self.state_max = np.zeros(n)
+
+    def cdf(self, x, rows=None):
+        return self.fn(np.asarray(x, dtype=float))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
+def test_targets_below_the_first_grid_point(tol):
+    # the lower end grid[0] * 1e-12 is evaluated and, within tol of the
+    # target, is the answer; below it the refinement runs in log x from there
+    grid0 = BRACKET_HIGH * _GRID_FRACTIONS[0]
+    p = np.array([1e-300, 1e-12, 1e-9, 1e-4, 0.5 * _rational_cdf(grid0, 2.0)])
+    q = _invert_slice(_StubSlice(lambda x: _rational_cdf(x, 2.0), p.size), p, tol=tol)
+    assert np.all(np.abs(_rational_cdf(q, 2.0) - p) <= tol)
+    assert np.all(q < grid0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
+def test_lower_end_above_the_target_fails_loudly(tol):
+    # F jumps to 0.3 at x = 0, so F at the lower end exceeds a target below 0.3
+    def fn(x):
+        return 0.3 + 0.7 * _rational_cdf(x, 1.0)
+
+    p = np.array([0.5, 0.3 + 0.5 * tol])
+    q = _invert_slice(_StubSlice(fn, 2), p, tol=tol)
+    assert np.all(np.abs(fn(q) - p) <= tol)
+    with pytest.raises(BracketError):
+        _invert_slice(_StubSlice(fn, 3), np.array([0.5, 0.1, 0.9]), tol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
+def test_cdf_values_of_exactly_0_and_1_converge(tol):
+    # F is exactly 0 below x = 0.1 and exactly 1 from x = 10.1, so bracket
+    # ends and steps meet infinite logits at both ends of the support
+    def fn(x):
+        return np.clip((x - 0.1) / 10.0, 0.0, 1.0)
+
+    p = np.array([1.0 - 1e-16, 1.0, 0.999, 0.98, 0.5, 0.01, 0.001, 1e-300])
+    q = _invert_slice(_StubSlice(fn, p.size), p, tol=tol)
+    assert np.all(np.isfinite(q))
+    assert np.all(np.abs(fn(q) - np.minimum(p, 1.0 - 1e-16)) <= tol)
+    for m in (logistic_model(0.5, 2), inverted_logistic_model(0.35, 2)):
+        states = np.array([[3.0, 2.0], [0.01, 0.5], [20.0, 9.0]])
+        q = kernel_quantile(m, states, 1.0 - 1e-16, tol=tol)
+        assert np.all(np.abs(kernel_cdf(m, states, q) - (1.0 - 1e-16)) <= tol)
+
+
+@pytest.mark.parametrize("family, bound", [("logistic", 10.0), ("inverted-logistic", 8.0)])
+def test_cdf_row_evaluations_per_draw(family, bound, monkeypatch):
+    # grid search plus refinement; 14.3 and 11.6 per draw under the former
+    # regula falsi, about 8.1 and 6.8 with Chandrupatla steps
+    m = _CONTRACT_MODELS[family]()
+    counts = {"rows": 0, "draws": 0}
+    cdf, invert = m.slice_class.cdf, kernels._invert_slice
+
+    def counted_cdf(sl, x, rows=None):
+        counts["rows"] += np.size(x)
+        return cdf(sl, x, rows=rows)
+
+    def counted_invert(sl, prob, tol=DEFAULT_PROB_TOL):
+        counts["draws"] += len(prob)
+        return invert(sl, prob, tol=tol)
+
+    monkeypatch.setattr(m.slice_class, "cdf", counted_cdf)
+    monkeypatch.setattr(kernels, "_invert_slice", counted_invert)
+    simulate_conditioned_chain(m, 9.0, 8, 1024, 3)
+    assert counts["draws"] == 8 * 1024      # 4 initial and 4 chain columns
+    assert counts["rows"] / counts["draws"] <= bound
+
+
+@pytest.mark.parametrize("tol", [1e-5, DEFAULT_PROB_TOL])
+@pytest.mark.parametrize("family", [f for f in _CONTRACT_MODELS if f != "gaussian"])
+def test_quantiles_meet_the_probability_tolerance(family, tol):
+    m = _CONTRACT_MODELS[family]()
+    rng, states, _ = _contract_inputs(m, 200, 5)
+    p = rng.uniform(size=200)
+    p[:3] = [1e-9, 1e-4, 1.0 - 1e-9]
+    q = kernel_quantile(m, states, p, tol=tol, grade="sampling")
+    assert np.all(np.abs(kernel_cdf(m, states, q, grade="sampling") - p) <= tol)
 
 
 def test_zero_mixed_partials_give_the_independence_kernel():
