@@ -1,16 +1,18 @@
 """Multivariate normal orthant probabilities by randomized lattice rules.
 
 Sequential separation-of-variables (Genz-style) evaluation on a Richtmyer
-lattice with random shifts.  Everything runs in log space so probabilities
-deep in the joint tail keep relative accuracy; the returned error estimate
-is on the natural probability scale.
+lattice with random shifts.  `mvn_logcdf` runs in log space, so
+probabilities deep in the joint tail keep relative accuracy; the returned
+error estimate is on the natural probability scale.  `GenzTailCache` sums
+its final coordinate on the natural scale, relative to each row's largest
+head term, and reads 0 (log -inf) below about 1e-308 of that term.
 
 A row's value depends on its own limits, the covariance and the lattice
 alone: each row orders its own variables, +inf limits are marginalized per
 row, and rows are blocked by a count fixed by the lattice size.
 """
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .utils import DomainError, ParameterError, logsumexp
 
@@ -156,6 +158,12 @@ class GenzTailCache:
     0..d-2 once for fixed per-row `v_head`, then evaluate cheaply for many
     `v_last` vectors.  Transition-kernel inversion uses this: only the
     candidate next-state coordinate moves between root-finding iterations.
+
+    A call sums exp(log_head - top) * Phi(final limit) over a row's lattice
+    points, `top` being the row's largest head term (0 if all are -inf):
+    positive terms, so a few ulp of relative error.  A row below about
+    1e-308 * exp(top), hence below 1e-308 of its value at v_last = +inf,
+    underflows to -inf.
     """
 
     def __init__(self, cov, v_head, points=96, seed=0):
@@ -171,6 +179,11 @@ class GenzTailCache:
         logw = np.log(_lattice(points, self.d - 1, np.random.default_rng(seed)))
         self.log_head, self.mean_last = _genz_head(                 # (B, M) each
             b, np.broadcast_to(chol, (b.shape[0],) + chol.shape), logw)
+        # a point of zero weight keeps a finite mean, so that a limit of
+        # +-inf never meets an infinite mean there
+        self.mean_last[np.isneginf(self.log_head)] = 0.0
+        top = self.log_head.max(axis=1)
+        self.top = np.where(np.isneginf(top), 0.0, top)              # (B,)
         self.n_points = points
 
     def logcdf(self, v_last, rows=None):
@@ -178,7 +191,11 @@ class GenzTailCache:
         v = np.asarray(v_last, dtype=float) / self.sd[-1]
         if self.d == 1:
             return log_ndtr(v)
-        head = self.log_head if rows is None else self.log_head[rows]
-        mean = self.mean_last if rows is None else self.mean_last[rows]
-        final = log_ndtr((v[:, None] - mean) / self.chol[-1, -1])
-        return logsumexp(head + final, axis=1) - np.log(self.n_points)
+        if rows is None:
+            head, mean, top = self.log_head, self.mean_last, self.top
+        else:
+            head, mean, top = self.log_head[rows], self.mean_last[rows], self.top[rows]
+        w = np.exp(head - top[:, None])
+        s = (w * ndtr((v[:, None] - mean) / self.chol[-1, -1])).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return np.log(s) + top - np.log(self.n_points)

@@ -503,6 +503,26 @@ def test_quantiles_meet_the_probability_tolerance(family, tol):
     assert np.all(np.abs(kernel_cdf(m, states, q, grade="sampling") - p) <= tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grade", ["sampling", "accurate"])
+@pytest.mark.parametrize("u", [3.0, 20.0, 100.0])
+def test_husler_reiss_kernel_over_the_inversion_range(u, grade):
+    # the lattice sums run on the natural scale, where a partial below about
+    # 1e-308 of its value at +inf underflows to 0; the kernel stays a CDF
+    # from the inversion's lowest point to its last grid point
+    m = husler_reiss_model(FIG1_HR)
+    states = u + np.random.default_rng(3).exponential(size=(6, m.k))
+    sl = m.kernel_slice(states, grade=grade)
+    grid = np.outer(BRACKET_HIGH + sl.state_max, _GRID_FRACTIONS)
+    x = np.geomspace(1e-12 * grid[:, 0], grid[:, -1], 80, axis=1)
+    f = np.stack([sl.cdf(col) for col in x.T], axis=1)
+    assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f, axis=1) >= 0.0)
+    for p in (1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6):
+        q = kernel_quantile(m, states, p, tol=1e-10, grade=grade)
+        assert np.all(np.abs(kernel_cdf(m, states, q, grade=grade) - p) <= 1e-10)
+
+
 def test_zero_mixed_partials_give_the_independence_kernel():
     # all mixed partials of order two and more vanish, so the partition sums
     # hold -inf log terms; the kernel is the unit-exponential CDF whatever

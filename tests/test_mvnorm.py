@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
+from scipy.special import log_ndtr, logsumexp
 from scipy.stats import multivariate_normal
 
 from tailchain.mvnorm import GenzTailCache, mvn_cdf, mvn_logcdf
@@ -106,7 +107,49 @@ def test_tail_cache_matches_full_evaluation(rng):
     assert np.max(np.abs(got - want)) < 2e-4
     rows = np.array([1, 4, 7])
     sub = np.exp(cache.logcdf(v_last[rows], rows=rows))
-    assert np.allclose(sub, got[rows], atol=1e-12)
+    assert np.array_equal(sub, got[rows])
+
+
+def _log_space_tail_logcdf(cache, v_last):
+    # the lattice sum in log space: log-mean of exp(log_head + log Phi)
+    z = (v_last[:, None] / cache.sd[-1] - cache.mean_last) / cache.chol[-1, -1]
+    return logsumexp(cache.log_head + log_ndtr(z), axis=1) - np.log(cache.n_points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 4])
+def test_tail_cache_matches_the_log_space_sum(rng, d):
+    # heads from about 0 down to log Phi(-30) = -454 nats; below -512 nats
+    # two doubles' spacing exceeds 1e-13, and that is the bound there
+    cov = _random_corr(rng, d)
+    v_head = rng.uniform(-1.0, 3.0, size=(40, d - 1))
+    v_head[:, 0] = np.linspace(0.0, -30.0, 40)
+    cache = GenzTailCache(cov, v_head, points=1024, seed=5)
+    for v in (-8.0, 0.0, 8.0, np.inf):
+        v_last = np.full(40, v)
+        got = cache.logcdf(v_last)
+        ref = _log_space_tail_logcdf(cache, v_last)
+        finite = ref > cache.log_head.max(axis=1) - 700.0
+        assert finite.sum() >= 30
+        bound = np.maximum(1e-13, 2.0 * np.spacing(np.abs(ref)))
+        assert np.all((np.abs(got - ref) <= bound)[finite])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_cache_underflow_gives_minus_infinity(rng):
+    # below about 1e-308 times a row's largest head term the natural-scale
+    # sum underflows to 0: log-probability -inf, never NaN or a warning
+    cov = _random_corr(rng, 4)
+    v_head = np.array([[0.5, -1.0, 2.0], [-np.inf, 0.0, 1.0], [1.0, 2.0, -np.inf],
+                       [-30.0, 0.0, 0.0]])
+    cache = GenzTailCache(cov, v_head, points=256, seed=1)
+    deep = cache.logcdf(np.full(4, -1e3))
+    assert np.all(np.isneginf(deep))
+    assert np.all(np.isfinite(_log_space_tail_logcdf(cache, np.full(4, -1e3))[[0, 3]]))
+    for v in (-8.0, 0.0, 8.0, np.inf, -np.inf):
+        out = cache.logcdf(np.full(4, v))
+        assert np.all(np.isneginf(out[1:3]))
+        assert not np.any(np.isnan(out))
 
 
 def test_rejects_bad_covariance():
