@@ -17,7 +17,9 @@ measure supplies the sum (`partition_tail_evaluator`): the logistic families
 collapse the Bell-number sum over partitions to k terms, one per block
 count, and the Husler-Reiss and asymmetric logistic families add every
 partition's terms by `_PartitionScheme`.  A partition slice's CDF value for
-a row depends on that row's states and argument alone.
+a row depends on that row's states and argument alone, so the slice builds
+its evaluators once per distinct state row: a batch that repeats one state,
+as `mc_lab.kernel_limit_gap` does, costs one row to build.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF.  Each row's bracket comes from a binary search over a fixed
 grid (at most 4 CDF row-evaluations), then vectorized Chandrupatla steps
@@ -154,6 +156,10 @@ class _PartitionSlice:
     quadrature bias largely cancels in the ratio.  Subclasses supply `_arg`,
     the map from the exponential scale to the measure's log coordinates.
 
+    The evaluators, `log_den` and `v_marg` hold each distinct state row once
+    (rows equal byte for byte), and input row i reads their row
+    `distinct[i]`; `n`, `state_max` and the `rows` of `cdf` count input rows.
+
     `perfbench/spans.py` instruments the slices by name, so these must hold:
     `_MaxStableSlice`, `_InvertedSlice` and `_GaussianSlice` each define their
     own `__init__` and `cdf` (it patches the class `__dict__`, plus
@@ -169,16 +175,22 @@ class _PartitionSlice:
         states, _ = as_batch(states, k)
         self.n = states.shape[0]
         self.state_max = states.max(axis=1)
-        logy = self._arg(states)
+        # rows compared by their bytes, so -0.0 and 0.0 stay apart
+        as_bytes = np.ascontiguousarray(states).view(np.dtype((np.void, states.itemsize * k)))
+        _, first, self.distinct = np.unique(as_bytes[:, 0], return_index=True,
+                                            return_inverse=True)
+        logy = self._arg(states[first])
         self.num_ev = measure.partition_tail_evaluator(logy)
         self.value_ev = measure.value_tail_evaluator(logy)
-        top = np.full(self.n, np.inf)
+        top = np.full(first.size, np.inf)
         self.log_den = self.num_ev(top)
         self.v_marg = self.value_ev(top)
 
     def _log_ratio(self, x, rows):
-        """Unclipped log of the ratio at positive `x` for the index array `rows`."""
+        """Unclipped log of the ratio at positive `x` for the index array `rows`
+        of input rows."""
         logy_k = self._arg(x)
+        rows = self.distinct[rows]
         log_num = self.num_ev(logy_k, rows=rows)
         v_full = self.value_ev(logy_k, rows=rows)
         return log_num - self.log_den[rows] + (self.v_marg[rows] - v_full)

@@ -9,8 +9,12 @@ head term, and reads 0 (log -inf) below about 1e-308 of that term.
 
 A row's value depends on its own limits, the covariance and the lattice
 alone: each row orders its own variables, +inf limits are marginalized per
-row, and rows are blocked by a count fixed by the lattice size.
+row, and rows are blocked by a count fixed by the lattice size.  Each
+lattice is computed once per (points, dim, seed, shifts) and shared
+read-only.
 """
+import functools
+
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri_exp
 
@@ -41,11 +45,22 @@ def _corr_cholesky(cov):
     return sd, corr, chol
 
 
-def _lattice(n_points, dim, rng):
-    m = np.arange(1, n_points + 1)[:, None]
+# a run uses a few (points, dim, seed, shifts) settings; the bound keeps a
+# sweep over seeds from holding every lattice it has seen
+@functools.lru_cache(maxsize=64)
+def _log_lattices(points, dim, seed, shifts=1):
+    """Logs of `shifts` Richtmyer lattices (points, dim), each randomly shifted
+    by the next `dim` draws of the stream of `seed`; computed once per
+    argument tuple and returned read-only."""
+    m = np.arange(1, points + 1)[:, None]
     base = np.mod(m * np.sqrt(_PRIMES[:dim])[None, :], 1.0)
-    shift = rng.random(dim)
-    return np.clip(np.mod(base + shift, 1.0), 1e-16, 1.0 - 1e-16)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(shifts):
+        logw = np.log(np.clip(np.mod(base + rng.random(dim), 1.0), 1e-16, 1.0 - 1e-16))
+        logw.flags.writeable = False
+        out.append(logw)
+    return tuple(out)
 
 
 def _genz_head(b, chol, logw):
@@ -65,17 +80,17 @@ def _genz_head(b, chol, logw):
     return logprod, mean
 
 
-def _genz_pass(b, chol, w):
-    """One lattice pass over fixed limits `b` (B, d); returns (B,) log estimates."""
-    logw = np.log(w)
-    step = max(1, _BLOCK_ENTRIES // w.shape[0])
+def _genz_pass(b, chol, logw):
+    """One pass over fixed limits `b` (B, d) on lattice logs `logw`; returns
+    (B,) log estimates."""
+    step = max(1, _BLOCK_ENTRIES // logw.shape[0])
     out = np.empty(b.shape[0])
     for start in range(0, b.shape[0], step):
         blk, c = b[start:start + step], chol[start:start + step]
         logprod, mean = _genz_head(blk[:, :-1], c, logw)
         logprod = logprod + log_ndtr((blk[:, -1][:, None] - mean) / c[:, -1, -1][:, None])
         out[start:start + step] = logsumexp(logprod, axis=1)
-    return out - np.log(w.shape[0])
+    return out - np.log(logw.shape[0])
 
 
 def _finite_logcdf(b, corr, points, shifts, seed):
@@ -88,10 +103,10 @@ def _finite_logcdf(b, corr, points, shifts, seed):
     order = np.argsort(b, axis=1, kind="stable")
     b = np.take_along_axis(b, order, axis=1)
     chol = np.linalg.cholesky(corr[order[:, :, None], order[:, None, :]])
-    rng = np.random.default_rng(seed)
     # (rows, shifts), C-ordered: each row reduces its own shifts contiguously
-    per_shift = np.stack([_genz_pass(b, chol, _lattice(points, b.shape[1] - 1, rng))
-                          for _ in range(shifts)], axis=1)
+    per_shift = np.stack([_genz_pass(b, chol, logw)
+                          for logw in _log_lattices(points, b.shape[1] - 1, seed, shifts)],
+                         axis=1)
     logp = logsumexp(per_shift, axis=1) - np.log(shifts)
     if shifts < 2:
         return logp, np.full(b.shape[0], np.nan)
@@ -176,7 +191,7 @@ class GenzTailCache:
             self.log_head = None
             return
         b = np.asarray(v_head, dtype=float) / sd[:-1]
-        logw = np.log(_lattice(points, self.d - 1, np.random.default_rng(seed)))
+        (logw,) = _log_lattices(points, self.d - 1, seed)
         self.log_head, self.mean_last = _genz_head(                 # (B, M) each
             b, np.broadcast_to(chol, (b.shape[0],) + chol.shape), logw)
         # a point of zero weight keeps a finite mean, so that a limit of

@@ -577,11 +577,14 @@ class RegimeSwitchingTailChain:
         Otherwise each row takes Newton steps in log y on log G - log u when
         u < 1/2 and in y on log(1 - G) - log(1 - u) when u >= 1/2 (both close
         to linear in the tails).  Every evaluation narrows the row's bracket
-        lo < y* <= hi, and a step that leaves it is replaced by expansion
-        (hi not yet found: 2 lo + 1; lo not yet found: hi / 16) or by the
-        geometric midpoint.  Only rows whose last step exceeded _NEWTON_RTOL
-        relative are iterated again; a row still moving after
-        _NEWTON_MAX_ITER steps raises NumericalError.
+        lo < y* <= hi.  A step that leaves it (while hi is not yet found,
+        that means going past 2 lo + 1), or that is longer than half the
+        row's step two iterations before (rtsafe's rule, Numerical Recipes
+        sec. 9.4: Newton steps can cycle across the root inside the
+        bracket), is replaced by expansion (hi not yet found: 2 lo + 1; lo
+        not yet found: hi / 16) or by the geometric midpoint.  Only rows
+        whose last step exceeded _NEWTON_RTOL relative are iterated again; a
+        row still moving after _NEWTON_MAX_ITER steps raises NumericalError.
         """
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0) & (u < 1)):
@@ -596,6 +599,9 @@ class RegimeSwitchingTailChain:
         log_target = np.where(upper, np.log1p(-u), np.log(u))
         lo = np.zeros(u.size)
         hi = np.full(u.size, np.inf)
+        # each row's last two step lengths; there is none before the first step
+        step = np.full(u.size, np.inf)
+        step_before = np.full(u.size, np.inf)
         rows = np.arange(u.size)
         for _ in range(_NEWTON_MAX_ITER):
             yr, up, target = y[rows], upper[rows], log_target[rows]
@@ -608,12 +614,16 @@ class RegimeSwitchingTailChain:
                 h = hi[rows] = np.where(below, hi[rows], yr)
                 new = np.where(up, yr + (log_sf - target) * sf / (np.exp(log_cdf) * dlog),
                                yr * np.exp((target - log_cdf) / (yr * dlog)))
-                fallback = np.where(np.isinf(h), 2.0 * l + 1.0,
+                top = np.where(np.isinf(h), 2.0 * l + 1.0, h)
+                fallback = np.where(np.isinf(h), top,
                                     np.where(l == 0.0, h / 16.0, np.sqrt(l * h)))
-                new = np.where((new >= l) & (new <= h) & (new > 0) & np.isfinite(new),
-                               new, fallback)
+                ok = ((new >= l) & (new <= top) & (new > 0)
+                      & (np.abs(new - yr) <= 0.5 * step_before[rows]))
+                new = np.where(ok, new, fallback)
             y[rows] = new
-            rows = rows[np.abs(new - yr) > _NEWTON_RTOL * new]
+            moved = np.abs(new - yr)
+            step_before[rows], step[rows] = step[rows], moved
+            rows = rows[moved > _NEWTON_RTOL * new]
             if rows.size == 0:
                 return y.reshape(shape)
         raise NumericalError(f"regime {A} body quantile: {rows.size} rows not bracketed "

@@ -109,6 +109,13 @@ def test_fig1_and_fig2(tmp_path):
     assert hist[0] == "tb,count"
 
 
+def test_fig2_runs_where_the_body_quantile_cycled(tmp_path):
+    # this seed draws a body value on which the regime body quantile's Newton
+    # steps used to cycle until they ran out (exit code 3)
+    assert _run(["--out", str(tmp_path), "--seed", "77115418", "fig2",
+                 "--horizon", "50"]) == 0
+
+
 def test_validate_json(tmp_path):
     code = _run(["--out", str(tmp_path), "--seed", "6", "validate",
                  "--family", "gaussian", "--rho", "0.7",

@@ -232,6 +232,18 @@ def test_slice_rows_do_not_depend_on_their_batch(family, grade):
     for size in (1, 7, 23):
         sub = np.sort(rng.choice(40, size=size, replace=False))
         assert np.array_equal(sl.cdf(x[sub], rows=sub), full[sub])
+    # a partition slice builds each distinct state row once: a shuffled mix
+    # of repeated and distinct rows, and one row tiled, read as those rows
+    # of the distinct batch
+    mix = rng.permutation(np.concatenate([np.repeat(np.arange(5), 6), np.arange(5, 15)]))
+    sl_mix = m.kernel_slice(states[mix], grade=grade)
+    assert np.array_equal(sl_mix.cdf(x[mix]), full[mix])
+    sub = np.sort(rng.choice(mix.size, size=11, replace=False))
+    assert np.array_equal(sl_mix.cdf(x[mix][sub], rows=sub), full[mix][sub])
+    tiled = m.kernel_slice(np.tile(states[0], (21, 1)), grade=grade)
+    x_tiled = np.geomspace(0.05, 20.0, 21)
+    assert np.array_equal(tiled.cdf(x_tiled),
+                          sl.cdf(x_tiled, rows=np.zeros(21, dtype=int)))
 
 
 @pytest.mark.parametrize("grade", ["sampling", "accurate"])
@@ -247,6 +259,19 @@ def test_kernel_cdf_and_quantile_row_by_row_equal_the_batch(family, grade):
     q = kernel_quantile(m, states, p, tol=tol, grade=grade)
     assert np.array_equal([kernel_quantile(m, s, pi, tol=tol, grade=grade)
                            for s, pi in zip(states, p)], q)
+    # repeated rows, shuffled among distinct ones, and one state tiled
+    mix = rng.permutation(np.concatenate([np.repeat(np.arange(3), 4), np.arange(3, 12)]))
+    assert np.array_equal(kernel_cdf(m, states[mix], x[mix], grade=grade), batch[mix])
+    assert np.array_equal(kernel_quantile(m, states[mix], p[mix], tol=tol, grade=grade),
+                          q[mix])
+    tiled = np.tile(states[0], (5, 1))
+    x_tiled = np.geomspace(0.05, 20.0, 5)
+    p_tiled = np.array([1e-6, 0.05, 0.5, 0.95, 1 - 1e-6])
+    assert np.array_equal(kernel_cdf(m, tiled, x_tiled, grade=grade),
+                          [kernel_cdf(m, states[0], xi, grade=grade) for xi in x_tiled])
+    assert np.array_equal(kernel_quantile(m, tiled, p_tiled, tol=tol, grade=grade),
+                          [kernel_quantile(m, states[0], pi, tol=tol, grade=grade)
+                           for pi in p_tiled])
 
 
 def test_log_space_partition_sums_match_naive():

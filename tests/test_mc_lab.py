@@ -161,6 +161,23 @@ def test_kernel_limit_gap_inverted_logistic_scale_only():
     assert gaps[2] < 1e-2
 
 
+@pytest.mark.parametrize("make_model, make_tail", [
+    (lambda: husler_reiss_model(FIG1_HR), lambda: HuslerReissLocationTailChain(FIG1_HR)),
+    (lambda: logistic_model(0.32, 5), lambda: LogisticLocationTailChain(0.32, 5))],
+    ids=["husler-reiss", "logistic"])
+def test_kernel_limit_gap_reads_one_state_row(make_model, make_tail):
+    # every grid point conditions on the same state row, which the slice
+    # builds once: the gap's CDF values are a one-row slice's, bit for bit
+    model, tail, u = make_model(), make_tail(), 20.0
+    x = np.linspace(-5, 5, 21)
+    _, fin, _ = kernel_limit_gap(model, tail, u, x)
+    state = tail.alpha_seq(5)[:5] * u
+    state[0] = u
+    one = model.kernel_slice(state[None, :])
+    pts = tail.a_fn(state) + tail.b_fn(state) * x
+    assert np.array_equal(fin, one.cdf(pts, rows=np.zeros(x.size, dtype=int)))
+
+
 @pytest.mark.parametrize("u", [62.0, 100.0])
 def test_kernel_limit_gap_husler_reiss_at_high_thresholds(u):
     gap, _, _ = kernel_limit_gap(husler_reiss_model(FIG1_HR),

@@ -376,6 +376,53 @@ def test_body_quantile_round_trip(params, A):
     assert np.all(np.abs(model.body_cdf(A, q, prev) - u) <= 1e-12)
 
 
+# figure-2 (u, body neighbour) pairs on which the Newton steps cycled between
+# y near 2.64 and 12.13, shrinking the bracket by about 1e-4 a step, until
+# the step budget ran out (seeds 23, 43, 95, 102 and 118 of the benchmark's
+# limit-cli workload)
+_NEWTON_CYCLE_INPUTS = [(0.9259093518108877, 5.163699947353798),
+                        (0.9265949230960331, 5.168953077138724),
+                        (0.9264346516064479, 5.154013536366603),
+                        (0.925268838873573, 5.15619940878918),
+                        (0.9283298380274694, 5.114716146749025)]
+# pairs on which a Newton step taken before any upper bracket end was known
+# reached y in the hundreds, where the law's density term is inf * 0
+_UNBOUNDED_STEP_INPUTS = [(0.8355692165002742, 26.58100795171226),
+                          (0.9963282659270943, 12.68193066229773),
+                          (0.8636299852045796, 31.276623696178326)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("A", [(1, 0), (0, 1)])
+def test_body_quantile_where_newton_cycled_or_overshot(A):
+    model = RegimeSwitchingTailChain(FIG2_PARAMS)
+    u, prev = np.array(_NEWTON_CYCLE_INPUTS + _UNBOUNDED_STEP_INPUTS).T
+    grid_u, grid_prev = np.meshgrid(np.linspace(0.92, 0.93, 101), np.linspace(5.1, 5.2, 101))
+    u = np.concatenate([u, grid_u.ravel()])
+    prev = np.concatenate([prev, grid_prev.ravel()])
+    q = model.body_quantile(A, u, prev)
+    assert np.all(np.abs(model.body_cdf(A, q, prev) - u) <= 1e-12)
+
+
+def test_body_quantile_bisects_where_steps_stop_shrinking(monkeypatch):
+    # a law whose Newton map (in y, for u >= 1/2) sends root + z to root - z:
+    # every step stays inside the bracket without narrowing it, so only the
+    # rule that a step must halve the one two iterations before ends the cycle
+    model = RegimeSwitchingTailChain(FIG2_PARAMS)
+    u = 0.99
+    root = -np.log1p(-u) - 1.0       # the first point, the exponential quantile, is root + 1
+
+    def cycling_law(A, y, prev_body):
+        z = y - root
+        log_sf = np.log1p(-u) - np.sign(z) * np.sqrt(np.abs(z))
+        density = np.exp(log_sf) / (2.0 * np.sqrt(np.abs(z)))
+        return np.log1p(-np.exp(log_sf)), density / -np.expm1(log_sf)
+
+    monkeypatch.setattr(model, "body_log_cdf", cycling_law)
+    q = model.body_quantile((1, 0), np.array([u]), prev_body=1.0)
+    assert abs(q[0] - root) <= 1e-12 * root
+
+
 def test_body_law_fails_loudly():
     model = RegimeSwitchingTailChain(SKEW_PARAMS)
     with pytest.raises(NumericalError):

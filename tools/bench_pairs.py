@@ -5,17 +5,19 @@ Usage:
         [--out BENCH_N.json]
 
 Pair i of ten (seed i, from 1 upward) runs `python3 perfbench/run.py
---workload all --seed i --seconds S --trace 0` in both checkouts, with S the
-`run_seconds` of the change's BENCHMARK.json, the parent first in odd pairs
-and the change first in even ones.  Then each side makes one traced
-run (`--trace 1 --seconds 20 --seed 4`).  For every end-to-end metric of
-every workload it prints the median and quartiles of each side, the ratio
-of the medians and the pairs in which the change read better (ties count
-for neither), with "gain" marking a metric on which the change won at
-least nine tenths of the pairs, the medians differ by more than the
-parent's interquartile range and the change failed no more operations than
-the parent.  The metric directions come from the
-change's BENCHMARK.json.  With --out it writes the pairs, the summary and
+--workload W --seed i --seconds S --trace 0` for each workload W of the
+change's BENCHMARK.json in both checkouts, with S its `run_seconds`, the
+parent first in odd pairs and the change first in even ones.  Then each
+side makes one traced run per workload (`--trace 1 --seconds 20 --seed 4`).
+It names every pair and workload in which either side reports
+`correct: false`.  For every end-to-end metric of every workload it prints
+the median and quartiles of each side, the ratio of the medians and the
+pairs in which the change read better (ties count for neither), with "gain"
+marking a metric on which the change won at least nine tenths of the pairs,
+the medians differ by more than the parent's interquartile range, the
+change failed no more of that workload's operations than the parent, and
+both sides ran it correctly in every pair.  The metric directions come from
+the change's BENCHMARK.json.  With --out it writes the pairs, the summary and
 the traced metrics as JSON.  Each checkout runs its own perfbench and
 src; PYTHONPATH is dropped from the environment.  Standard library only.
 """
@@ -34,10 +36,10 @@ TRACE_SECONDS = 20
 OPERATIONS_FIELDS = ["attempted", "failed", "correct"]
 
 
-def run_bench(checkout, seed, seconds, trace):
-    """The combined JSON line of one `perfbench/run.py --workload all` run."""
+def run_bench(checkout, workload, seed, seconds, trace):
+    """The JSON line of one `perfbench/run.py --workload WORKLOAD` run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
                           check=False)
@@ -46,25 +48,36 @@ def run_bench(checkout, seed, seconds, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _values(result):
-    return {k: v["value"] for k, v in result["metrics"].items()}
+def run_workloads(checkout, workloads, seed, seconds, trace):
+    """(metrics as {"workload.metric": value}, {workload: operations}) of one
+    run of each workload."""
+    values, operations = {}, {}
+    for w in workloads:
+        result = run_bench(checkout, w, seed, seconds, trace)
+        values.update((f"{w}.{k}", v["value"]) for k, v in result["metrics"].items())
+        operations[w] = [result[f] for f in OPERATIONS_FIELDS]
+    return values, operations
 
 
-def _operations(result):
-    return [result[f] for f in OPERATIONS_FIELDS]
+def failed(pairs, side, workload):
+    """The operations of `workload` that failed on one side, over all pairs."""
+    return sum(p["operations"][side][workload][1] for p in pairs)
 
 
-def failed(pairs, side):
-    """The operations that failed on one side, over all pairs."""
-    return sum(p["operations"][side][1] for p in pairs)
+def incorrect(pairs):
+    """(seed, workload, side) of every run that reports `correct: false`."""
+    return [(p["seed"], w, side) for p in pairs for side in ("parent", "change")
+            for w, ops in p["operations"][side].items() if not ops[2]]
 
 
 def summarize(pairs, better):
     """Per metric: each side's median and quartiles, their ratio and the wins."""
-    fails_more = failed(pairs, "change") > failed(pairs, "parent")
+    wrong = {w for _, w, _ in incorrect(pairs)}
     out = {}
     for key in pairs[0]["parent"]:
-        lower = better[key.split(".", 1)[1]] == "lower"
+        workload, metric = key.split(".", 1)
+        lower = better[metric] == "lower"
+        fails_more = failed(pairs, "change", workload) > failed(pairs, "parent", workload)
         par = [p["parent"][key] for p in pairs]
         chg = [p["change"][key] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
@@ -79,7 +92,7 @@ def summarize(pairs, better):
             "change_over_parent": statistics.median(chg) / statistics.median(par),
             "change_wins": f"{wins}/{len(pairs)}",
             "gain": 10 * wins >= 9 * len(pairs) and not fails_more
-            and (gap if lower else -gap) > q_par[2] - q_par[0],
+            and workload not in wrong and (gap if lower else -gap) > q_par[2] - q_par[0],
         }
     return out
 
@@ -93,6 +106,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     spec = json.loads((args.change_dir / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change_dir}
@@ -100,18 +114,19 @@ def main(argv=None):
     pairs = []
     for seed in range(1, PAIRS + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        results = {side: run_bench(sides[side], seed, seconds, 0) for side in order}
+        results = {side: run_workloads(sides[side], workloads, seed, seconds, 0)
+                   for side in order}
         pairs.append({"seed": seed, "first": order[0],
-                      "parent": _values(results["parent"]),
-                      "change": _values(results["change"]),
-                      "operations": {s: _operations(results[s]) for s in ("parent", "change")}})
+                      "parent": results["parent"][0], "change": results["change"][0],
+                      "operations": {s: results[s][1] for s in ("parent", "change")}})
         print(f"pair {seed}/{PAIRS} done ({order[0]} first)", file=sys.stderr)
     summary = summarize(pairs, better)
-    trace = {"command": f"python3 perfbench/run.py --workload all --seconds {TRACE_SECONDS} "
+    trace = {"command": f"python3 perfbench/run.py --workload W --seconds {TRACE_SECONDS} "
                         f"--seed {TRACE_SEED} --trace 1"}
     for side in ("parent", "change"):
-        res = run_bench(sides[side], TRACE_SEED, TRACE_SECONDS, 1)
-        trace[side] = dict(_values(res), operations=_operations(res))
+        values, operations = run_workloads(sides[side], workloads, TRACE_SEED,
+                                           TRACE_SECONDS, 1)
+        trace[side] = dict(values, operations=operations)
 
     width = max(len(k) for k in summary)
     print(f"{'metric':<{width}}  {'parent median [q1, q3]':>34}  "
@@ -122,13 +137,17 @@ def main(argv=None):
                  f"{s[f'{side}_quartiles'][1]:.4g}] {unit}" for side in ("parent", "change")]
         print(f"{key:<{width}}  {cells[0]:>34}  {cells[1]:>34}  {s['change_over_parent']:.3f}  "
               f"{s['change_wins']}{'  gain' if s['gain'] else ''}")
-    print(f"failed operations: parent {failed(pairs, 'parent')}, "
-          f"change {failed(pairs, 'change')}")
+    for w in workloads:
+        print(f"{w} failed operations: parent {failed(pairs, 'parent', w)}, "
+              f"change {failed(pairs, 'change', w)}")
+    for seed, w, side in incorrect(pairs):
+        print(f"pair {seed}: {w} reports correct false on the {side} side; "
+              f"no {w} metric counts as a gain")
 
     if args.out:
         record = {
             "change": args.change,
-            "harness": f"python3 perfbench/run.py --workload all --seconds {seconds} "
+            "harness": f"python3 perfbench/run.py --workload W --seconds {seconds} "
                        f"--seed N",
             "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
                        f"python {platform.python_version()}, one BLAS thread",
@@ -140,9 +159,10 @@ def main(argv=None):
             "note": "end_to_end: per metric, the medians and quartiles over the pairs, the "
                     "ratio of the medians, the pairs in which the change read better and "
                     "whether that is a gain (at least nine tenths of the pairs, a median "
-                    "gap wider than the parent's interquartile range and no more failed "
-                    "operations than the parent); pairs with odd seeds "
-                    "ran the parent first",
+                    "gap wider than the parent's interquartile range, no more failed "
+                    "operations of the workload than the parent and no run of it that "
+                    "reports correct false); operations are per workload; pairs with "
+                    "odd seeds ran the parent first",
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
