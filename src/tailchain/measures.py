@@ -4,7 +4,8 @@ Three parametric families are implemented: symmetric logistic,
 Husler-Reiss, and (for three dimensions) the asymmetric logistic built
 from a list of weighted faces.  Each measure exposes
 
-* ``value`` / ``log_value``        -- V(y), homogeneous of order -1
+* ``value`` / ``log_value``        -- V(y), homogeneous of order -1, so
+  V = sum_i y_i |V_i(y)| by Euler's identity (Husler-Reiss computes it so)
 * ``partial`` / ``log_abs_partial`` -- mixed partials V_J; V_J < 0 for every
   nonempty J, so magnitudes are carried in log space and the sign is implicit
 * ``partition_tail_evaluator``     -- log sum over the partitions of the
@@ -397,17 +398,16 @@ class HuslerReissMeasure(ExponentMeasure):
     with Sigma^(i) the covariance of the differences against coordinate i.
     Mixed partials have closed Gaussian forms: a normal density in the
     differentiated coordinates times a conditional normal CDF in the rest.
+    The i-th term of V is y_i |V_i| (Euler's identity), and V is summed so.
     Normal CDFs are evaluated by the randomized-lattice rule in
     :mod:`tailchain.mvnorm` with the accuracy settings carried here.
     """
 
-    def __init__(self, cov, qmc_points=2048, qmc_shifts=8, qmc_seed=0,
-                 kernel_points=96):
+    def __init__(self, cov, qmc_points=2048, qmc_shifts=8, kernel_points=96):
         self.cov = husler_reiss_covariance(cov)
         self.dim = self.cov.shape[0]
         self.qmc_points = int(qmc_points)
         self.qmc_shifts = int(qmc_shifts)
-        self.qmc_seed = int(qmc_seed)
         self.kernel_points = int(kernel_points)
         self._blocks = {}
         self._partial_caches = {}
@@ -425,35 +425,10 @@ class HuslerReissMeasure(ExponentMeasure):
             self._blocks[i] = (idx, sig, shift)
         return self._blocks[i]
 
-    def _anchor_terms(self, logy):
-        """Per anchor coordinate i: (-log y_i, log Phi_{d-1} of the differences
-        against i, that CDF's quadrature error)."""
-        if self.dim == 1:
-            return [(-logy[:, 0], 0.0, 0.0)]
-        terms = []
-        for i in range(self.dim):
-            idx, sig, shift = self._block(i)
-            w = logy[:, idx] - logy[:, [i]] + shift[None, :]
-            logphi, err = mvn_logcdf(w, sig, points=self.qmc_points,
-                                     shifts=self.qmc_shifts, seed=self.qmc_seed)
-            terms.append((-logy[:, i], logphi, err))
-        return terms
-
     def log_value(self, logy):
-        parts = [a + logphi for a, logphi, _ in self._anchor_terms(logy)]
+        """log V = logsumexp_i (log y_i + log|V_i|), by Euler's identity."""
+        parts = [logy[:, i] + self.log_abs_partial((i,), logy) for i in range(self.dim)]
         return logsumexp(np.stack(parts, axis=0), axis=0)
-
-    def value_with_error(self, y):
-        """(V(y), quadrature error estimate)."""
-        logy = _as_logy(np.atleast_2d(np.asarray(y, float)), self.dim)
-        vals = np.zeros(logy.shape[0])
-        errs = np.zeros(logy.shape[0])
-        for a, logphi, err in self._anchor_terms(logy):
-            vals += np.exp(a + logphi)
-            errs += np.exp(a) * err
-        if vals.shape[0] == 1:
-            return float(vals[0]), float(errs[0])
-        return vals, errs
 
     def _partial_setup(self, J):
         """Cached linear algebra for the J-partial: anchor i0, density block,
@@ -506,8 +481,7 @@ class HuslerReissMeasure(ExponentMeasure):
         out, w, shift_v, c = self._partial_parts(J, logy)
         if c["rest"]:
             logphi, _ = mvn_logcdf(w[:, c["rest"]] - shift_v, c["cond_cov"],
-                                   points=self.qmc_points, shifts=self.qmc_shifts,
-                                   seed=self.qmc_seed)
+                                   points=self.qmc_points, shifts=self.qmc_shifts)
             out = out + logphi
         return out
 
@@ -527,7 +501,7 @@ class HuslerReissMeasure(ExponentMeasure):
         perm = head_rows + [last_row]
         v_head = w[:, [c["rest"][r] for r in head_rows]] - shift_v[:, head_rows]
         cache = GenzTailCache(c["cond_cov"][np.ix_(perm, perm)], v_head,
-                              points=self.kernel_points, seed=self.qmc_seed)
+                              points=self.kernel_points)
         anchor = logy_head[:, c["i0"]]
         shift_last = c["shift"][c["rest"][last_row]]
         shift_v_last = shift_v[:, last_row]
@@ -541,38 +515,26 @@ class HuslerReissMeasure(ExponentMeasure):
         return evaluate
 
     def value_tail_evaluator(self, logy_head):
-        """V(y) with the final coordinate varying, cached per anchor block.
+        """V(y) with the final coordinate varying, by Euler's identity.
 
-        Blocks anchored at head coordinates only see the final coordinate in
-        one CDF argument, so they reuse :class:`GenzTailCache`; the block
-        anchored at the final coordinate shifts all arguments together and is
-        re-evaluated with a small lattice each call.
+        The terms y_i |V_i| of the head coordinates come from the singleton
+        `partial_tail_evaluator`s; the block anchored at the final coordinate
+        shifts all arguments together and is re-evaluated with a small
+        lattice each call.
         """
         d = self.dim
-        caches = []
-        for i in range(d - 1):
-            idx, sig, shift = self._block(i)
-            pos_last = idx.index(d - 1)
-            head_rows = [r for r in range(d - 1) if r != pos_last]
-            perm = head_rows + [pos_last]
-            v_head = (logy_head[:, [idx[r] for r in head_rows]] - logy_head[:, [i]]
-                      + shift[head_rows])
-            cache = GenzTailCache(sig[np.ix_(perm, perm)], v_head,
-                                  points=self.kernel_points, seed=self.qmc_seed)
-            caches.append((i, cache, shift[pos_last]))
+        evs = [self.partial_tail_evaluator((i,), logy_head) for i in range(d - 1)]
         idx_l, sig_l, shift_l = self._block(d - 1)
 
         def evaluate(logy_last, rows=None):
             head = logy_head if rows is None else logy_head[rows]
             total = np.zeros(logy_last.shape[0])
-            for i, cache, sh in caches:
-                anchor = head[:, i]
-                lc = cache.logcdf(logy_last - anchor + sh, rows=rows)
-                total += np.exp(-anchor + lc)
+            for i, ev in enumerate(evs):
+                total += np.exp(head[:, i] + ev(logy_last, rows=rows))
             # a +inf final coordinate gives -inf limits, so this term is 0
             w = head[:, idx_l] - logy_last[:, None] + shift_l[None, :]
             logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
-                                   shifts=1, seed=self.qmc_seed)
+                                   shifts=1)
             return total + np.exp(-logy_last + logphi)
         return evaluate
 
@@ -580,7 +542,7 @@ class HuslerReissMeasure(ExponentMeasure):
         """The measure of `cov` with these quadrature settings, except the
         non-None `changes`."""
         settings = dict(qmc_points=self.qmc_points, qmc_shifts=self.qmc_shifts,
-                        qmc_seed=self.qmc_seed, kernel_points=self.kernel_points)
+                        kernel_points=self.kernel_points)
         settings.update((k, v) for k, v in changes.items() if v is not None)
         return HuslerReissMeasure(cov, **settings)
 

@@ -532,12 +532,14 @@ class RegimeSwitchingTailChain:
         """(log G_{A,0}(y), d log G_{A,0}/dy) for y > 0 and A in {(1,0), (0,1)}.
 
         Every face adds a nonnegative correction, so log G <= 0 holds by
-        construction; NaN or a value above _LOG_CDF_SLACK raises
-        NumericalError.
+        construction.  A NaN argument raises NumericalError before any
+        arithmetic, and so does a value that is NaN or above _LOG_CDF_SLACK.
         """
         faces = self._body_faces(A)
         log_tx = log_exp_to_frechet(prev_body)
         log_ty = log_exp_to_frechet(y)
+        if np.isnan(log_tx).any() or np.isnan(log_ty).any():
+            raise NumericalError(f"regime {A} body law given a NaN argument")
         m = 1.0
         deficit = 0.0       # sum theta (1 - w): 1 minus the conditional mass -x^2 V_x
         expo = 0.0          # sum theta ((1 + q)^nu - 1)

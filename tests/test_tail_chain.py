@@ -423,6 +423,7 @@ def test_body_quantile_bisects_where_steps_stop_shrinking(monkeypatch):
     assert abs(q[0] - root) <= 1e-12 * root
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_body_law_fails_loudly():
     model = RegimeSwitchingTailChain(SKEW_PARAMS)
     with pytest.raises(NumericalError):
