@@ -13,13 +13,14 @@ the numerator at next state +inf, evaluated exactly.  Partition sums run
 entirely in log space: every partition term is nonnegative because mixed
 partials of valid exponent measures are nonpositive, so the sums are
 cancellation-free, and a zero partial's -inf log term needs no mask.  The
-measure supplies the sum (`partition_tail_evaluator`): the logistic families
-collapse the Bell-number sum over partitions to k terms, one per block
-count, and the Husler-Reiss and asymmetric logistic families add every
-partition's terms by `_PartitionScheme`.  A partition slice's CDF value for
-a row depends on that row's states and argument alone, so the slice builds
-its evaluators once per distinct state row: a batch that repeats one state,
-as `mc_lab.kernel_limit_gap` does, costs one row to build.
+measure supplies the sum and V in one evaluator (`partition_tail_evaluator`):
+the logistic families collapse the Bell-number sum over partitions to k
+terms, one per block count, and the other two add every partition's terms
+by `_PartitionScheme`, Husler-Reiss taking V from the sum's singletons.  A
+slice's CDF value for a row depends on that row's states and argument
+alone, so the slice builds its evaluator once per distinct state row: a
+batch that repeats one state, as `mc_lab.kernel_limit_gap` does, costs one
+row to build.
 Every slice has `cdf(x, rows=None)` and `quantile(prob, tol)`: sampling is
 inverse-CDF.  Each row's bracket comes from a binary search over a fixed
 grid (at most 4 CDF row-evaluations), then vectorized Chandrupatla steps
@@ -48,7 +49,7 @@ ENSEMBLE_PROB_TOL = 1e-5
 
 # quadrature accuracy by use: ensemble sampling tolerates coarse lattices,
 # direct CDF evaluation gets the measure's full configured accuracy
-_GRADES = {"sampling": dict(qmc_points=64, qmc_shifts=1, kernel_points=24),
+_GRADES = {"sampling": dict(kernel_points=24),
            "accurate": dict(kernel_points=1024)}
 
 
@@ -147,16 +148,15 @@ class GaussianCopulaModel(MarkovModel):
 class _PartitionSlice:
     """P(X_k <= x | states) as a log-space ratio of partition sums.
 
-    The measure's `partition_tail_evaluator` gives the numerator, the log
-    partition sum of its mixed partials over the k conditioning coordinates
-    as the next coordinate varies; the logistic families write it as a
-    k-term sum, the other families add the partition terms of per-subset
-    partial evaluators.  The denominator is the numerator's limit as the
-    next coordinate goes to +inf, taken exactly with the same evaluator, so
-    quadrature bias largely cancels in the ratio.  Subclasses supply `_arg`,
-    the map from the exponential scale to the measure's log coordinates.
+    The slice's one evaluator, the measure's `partition_tail_evaluator`,
+    gives the numerator, the log partition sum of the mixed partials over
+    the k conditioning coordinates as the next coordinate varies, and V.
+    The denominator and `v_marg` are its values at next coordinate +inf,
+    taken exactly, so quadrature bias largely cancels in the ratio.
+    Subclasses supply `_arg`, the map from the exponential scale to the
+    measure's log coordinates.
 
-    The evaluators, `log_den` and `v_marg` hold each distinct state row once
+    The evaluator, `log_den` and `v_marg` hold each distinct state row once
     (rows equal byte for byte), and input row i reads their row
     `distinct[i]`; `n`, `state_max` and the `rows` of `cdf` count input rows.
 
@@ -165,9 +165,10 @@ class _PartitionSlice:
     own `__init__` and `cdf` (it patches the class `__dict__`, plus
     `_GaussianSlice.quantile`); a slice's row count is `self.n`
     (`len(self.mean)` for `_GaussianSlice`); `quantile` reaches
-    `_invert_slice` as a module global; and the evaluators returned by the
-    measure's `partial_tail_evaluator` and `value_tail_evaluator` take the
-    last-coordinate logs as their first argument.
+    `_invert_slice` as a module global; and `ExponentMeasure` and
+    `HuslerReissMeasure` define `partial_tail_evaluator` (which the default
+    `partition_tail_evaluator` calls) and `value_tail_evaluator`, whose
+    evaluators take the last-coordinate logs as their first argument.
     """
 
     def __init__(self, measure, states):
@@ -179,20 +180,15 @@ class _PartitionSlice:
         as_bytes = np.ascontiguousarray(states).view(np.dtype((np.void, states.itemsize * k)))
         _, first, self.distinct = np.unique(as_bytes[:, 0], return_index=True,
                                             return_inverse=True)
-        logy = self._arg(states[first])
-        self.num_ev = measure.partition_tail_evaluator(logy)
-        self.value_ev = measure.value_tail_evaluator(logy)
-        top = np.full(first.size, np.inf)
-        self.log_den = self.num_ev(top)
-        self.v_marg = self.value_ev(top)
+        self.tail_ev = measure.partition_tail_evaluator(self._arg(states[first]))
+        self.log_den, self.v_marg = self.tail_ev(np.full(first.size, np.inf))
 
     def _log_ratio(self, x, rows):
         """Unclipped log of the ratio at positive `x` for the index array `rows`
         of input rows."""
         logy_k = self._arg(x)
         rows = self.distinct[rows]
-        log_num = self.num_ev(logy_k, rows=rows)
-        v_full = self.value_ev(logy_k, rows=rows)
+        log_num, v_full = self.tail_ev(logy_k, rows=rows)
         return log_num - self.log_den[rows] + (self.v_marg[rows] - v_full)
 
     def _ratio(self, x, rows):

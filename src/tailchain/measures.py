@@ -8,9 +8,10 @@ from a list of weighted faces.  Each measure exposes
   V = sum_i y_i |V_i(y)| by Euler's identity (Husler-Reiss computes it so)
 * ``partial`` / ``log_abs_partial`` -- mixed partials V_J; V_J < 0 for every
   nonempty J, so magnitudes are carried in log space and the sign is implicit
-* ``partition_tail_evaluator``     -- log sum over the partitions of the
-  leading coordinates of the products of |V_J|, as the last coordinate
-  varies (the kernels' conditional CDFs); the logistic sums dim - 1 terms
+* ``partition_tail_evaluator``     -- (log sum over the partitions of the
+  leading coordinates of prod_J |V_J|, V) as the last coordinate varies (the
+  kernels' conditional CDFs); the logistic sums dim - 1 terms, Husler-Reiss
+  takes V's head terms from the sum's single-coordinate partials
 * ``margin``                       -- the lower-dimensional measure obtained
   by sending a subset of coordinates to infinity (all families are closed
   under margins, which is also how +inf arguments are resolved)
@@ -83,7 +84,8 @@ def set_partitions(n):
 
 class _PartitionScheme:
     """Partitions of {0..k-1} as rows of indices into `subsets`, padded with
-    len(subsets), an exact-zero term in `log_sum`."""
+    len(subsets), an exact-zero term in `log_sum`; `singles[i]` indexes the
+    subset (i,)."""
 
     def __init__(self, k):
         self.k = k
@@ -95,6 +97,7 @@ class _PartitionScheme:
         self.blocks = np.full((len(self.partitions), pad), len(subsets))
         for r, p in enumerate(self.partitions):
             self.blocks[r, :len(p)] = [index[j] for j in p]
+        self.singles = [index[(i,)] for i in range(k)]
 
     def log_sum(self, log_terms):
         """log sum over partitions of prod_{J in p} |V_J| for `log_terms`
@@ -175,19 +178,30 @@ class ExponentMeasure:
             return np.exp(self.log_value(logy))
         return evaluate
 
+    def _value_from_singletons(self, logy_head):
+        """Callable (logy_last, log_singles, rows=None) giving V, where
+        `log_singles[i]` holds log|V_i| of head coordinate i at the same
+        arguments; by default V is evaluated on its own."""
+        ev = self.value_tail_evaluator(logy_head)
+        return lambda logy_last, log_singles, rows=None: ev(logy_last, rows=rows)
+
     def partition_tail_evaluator(self, logy_head):
-        """Callable giving log sum_P prod_{J in P} |V_J| as the last
+        """Callable giving (log sum_P prod_{J in P} |V_J|, V) as the last
         coordinate varies, P running over the partitions of the head
         coordinates 0..dim-2; same call convention as the evaluators above.
 
-        By default every subset gets a `partial_tail_evaluator` and
-        `_PartitionScheme.log_sum` adds the partitions' terms.
+        By default every subset gets one `partial_tail_evaluator`,
+        `_PartitionScheme.log_sum` adds the partitions' terms, and the
+        single-coordinate terms go on to `_value_from_singletons`.
         """
         scheme = _scheme(self.dim - 1)
         evs = [self.partial_tail_evaluator(J, logy_head) for J in scheme.subsets]
+        value = self._value_from_singletons(logy_head)
 
         def evaluate(logy_last, rows=None):
-            return scheme.log_sum(np.stack([ev(logy_last, rows=rows) for ev in evs], axis=0))
+            log_terms = np.stack([ev(logy_last, rows=rows) for ev in evs], axis=0)
+            return (scheme.log_sum(log_terms),
+                    value(logy_last, log_terms[scheme.singles], rows=rows))
         return evaluate
 
     def with_accuracy(self, **kw):
@@ -255,13 +269,13 @@ class LogisticMeasure(ExponentMeasure):
         return _face_log_abs_partial(self._coords, 1.0, self.alpha, J, logy)
 
     def partition_tail_evaluator(self, logy_head):
-        """The partition sum in k = dim - 1 terms (Shi 1995).
+        """The partition sum in k = dim - 1 terms (Shi 1995), and V.
 
         log|V_J| = c_|J| + (alpha - |J|) s + (-1/alpha - 1) sum_{j in J} log y_j
         with s = logsumexp(-log y / alpha), so the sum over the partitions of
         the head is (-1/alpha - 1) sum_j log y_j + logsumexp_m [C_m + (m alpha - k) s]
-        with C_m from `_logistic_partition_log_coefs`.  s of the head is
-        computed once; a +inf last coordinate leaves it exact.
+        with C_m from `_logistic_partition_log_coefs`, and V = exp(alpha s).
+        s of the head is computed once; a +inf last coordinate leaves it exact.
         """
         a, k = self.alpha, self.dim - 1
         log_coefs = np.array(_logistic_partition_log_coefs(a, k))
@@ -272,17 +286,7 @@ class LogisticMeasure(ExponentMeasure):
         def evaluate(logy_last, rows=None):
             sh, b = (s_head, base) if rows is None else (s_head[rows], base[rows])
             s = np.logaddexp(sh, -logy_last / a)
-            return b + logsumexp(log_coefs + s[:, None] * slopes, axis=1)
-        return evaluate
-
-    def value_tail_evaluator(self, logy_head):
-        """V = exp(alpha s), with s of the head computed once."""
-        a = self.alpha
-        s_head = logsumexp(-logy_head / a, axis=1)
-
-        def evaluate(logy_last, rows=None):
-            sh = s_head if rows is None else s_head[rows]
-            return np.exp(a * np.logaddexp(sh, -logy_last / a))
+            return b + logsumexp(log_coefs + s[:, None] * slopes, axis=1), np.exp(a * s)
         return evaluate
 
     def margin(self, coords):
@@ -514,23 +518,19 @@ class HuslerReissMeasure(ExponentMeasure):
             return base[rows] + cache.logcdf(v_last, rows=rows)
         return evaluate
 
-    def value_tail_evaluator(self, logy_head):
-        """V(y) with the final coordinate varying, by Euler's identity.
-
-        The terms y_i |V_i| of the head coordinates come from the singleton
-        `partial_tail_evaluator`s; the block anchored at the final coordinate
-        shifts all arguments together and is re-evaluated with a small
-        lattice each call.
-        """
+    def _value_from_singletons(self, logy_head):
+        """V(y) with the final coordinate varying, by Euler's identity: the
+        head terms y_i |V_i| from `log_singles`; the block anchored at the
+        final coordinate shifts all arguments together and is re-evaluated
+        with a small lattice each call."""
         d = self.dim
-        evs = [self.partial_tail_evaluator((i,), logy_head) for i in range(d - 1)]
         idx_l, sig_l, shift_l = self._block(d - 1)
 
-        def evaluate(logy_last, rows=None):
+        def evaluate(logy_last, log_singles, rows=None):
             head = logy_head if rows is None else logy_head[rows]
             total = np.zeros(logy_last.shape[0])
-            for i, ev in enumerate(evs):
-                total += np.exp(head[:, i] + ev(logy_last, rows=rows))
+            for i, log_v in enumerate(log_singles):
+                total += np.exp(head[:, i] + log_v)
             # a +inf final coordinate gives -inf limits, so this term is 0
             w = head[:, idx_l] - logy_last[:, None] + shift_l[None, :]
             logphi, _ = mvn_logcdf(w, sig_l, points=max(self.kernel_points // 2, 32),
@@ -538,21 +538,25 @@ class HuslerReissMeasure(ExponentMeasure):
             return total + np.exp(-logy_last + logphi)
         return evaluate
 
-    def _copy(self, cov, **changes):
-        """The measure of `cov` with these quadrature settings, except the
-        non-None `changes`."""
-        settings = dict(qmc_points=self.qmc_points, qmc_shifts=self.qmc_shifts,
-                        kernel_points=self.kernel_points)
-        settings.update((k, v) for k, v in changes.items() if v is not None)
-        return HuslerReissMeasure(cov, **settings)
+    def value_tail_evaluator(self, logy_head):
+        """V(y) with the final coordinate varying, from the singleton
+        `partial_tail_evaluator`s; the partition evaluator passes its own."""
+        evs = [self.partial_tail_evaluator((i,), logy_head) for i in range(self.dim - 1)]
+        value = self._value_from_singletons(logy_head)
+
+        def evaluate(logy_last, rows=None):
+            return value(logy_last, [ev(logy_last, rows=rows) for ev in evs], rows=rows)
+        return evaluate
 
     def margin(self, coords):
         coords = list(coords)
-        return self._copy(self.cov[np.ix_(coords, coords)])
+        return HuslerReissMeasure(self.cov[np.ix_(coords, coords)], self.qmc_points,
+                                  self.qmc_shifts, self.kernel_points)
 
-    def with_accuracy(self, qmc_points=None, qmc_shifts=None, kernel_points=None):
-        return self._copy(self.cov, qmc_points=qmc_points, qmc_shifts=qmc_shifts,
-                          kernel_points=kernel_points)
+    def with_accuracy(self, kernel_points=None):
+        """Copy with the tail caches' lattice size `kernel_points`, if given."""
+        points = self.kernel_points if kernel_points is None else kernel_points
+        return HuslerReissMeasure(self.cov, self.qmc_points, self.qmc_shifts, points)
 
     def descriptor(self):
         return f"husler_reiss(dim={self.dim})"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
-from tailchain import kernels
+from tailchain import kernels, measures
 from tailchain.kernels import (BRACKET_HIGH, DEFAULT_PROB_TOL, MAX_ORDER,
                                _GRID_FRACTIONS, _invert_slice,
                                asym_logistic_model, gaussian_model, husler_reiss_model,
@@ -286,8 +286,42 @@ def test_log_space_partition_sums_match_naive():
                 term *= m.measure.partial(J, y)
             naive += term
         logy = np.log(y)[None, :]
-        log_sum = m.measure.partition_tail_evaluator(logy[:, :k])(logy[:, k])
+        log_sum, _ = m.measure.partition_tail_evaluator(logy[:, :k])(logy[:, k])
         assert np.exp(log_sum[0]) == pytest.approx(naive, rel=1e-9)
+
+
+@pytest.mark.parametrize("grade", ["sampling", "accurate"])
+def test_husler_reiss_slices_build_and_evaluate_each_subset_cache_once(grade, monkeypatch):
+    # a slice's V takes its head terms from the singleton subsets of its
+    # partition sum, so an order-k slice builds one tail cache per nonempty
+    # subset of its k conditioning coordinates, 2^k - 1, and a CDF call
+    # evaluates each once
+    counts = {"builds": 0, "calls": 0}
+
+    class CountingCache(measures.GenzTailCache):
+        def __init__(self, *args, **kwargs):
+            counts["builds"] += 1
+            super().__init__(*args, **kwargs)
+
+        def logcdf(self, *args, **kwargs):
+            counts["calls"] += 1
+            return super().logcdf(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "GenzTailCache", CountingCache)
+    states = np.array([[3.0, 0.5, 4.2, 1.1, 2.0], [0.2, 6.0, 1.5, 3.3, 0.9]])
+    x = np.array([0.7, 2.5])
+    top = husler_reiss_model(FIG1_HR)
+    makers = [(j, lambda s, j=j: top.initial_slice(j, s, grade=grade))
+              for j in range(1, top.k)]
+    makers += [(k, lambda s, k=k: husler_reiss_model(FIG1_HR[:k + 1, :k + 1])
+                .kernel_slice(s, grade=grade)) for k in range(1, top.k + 1)]
+    for k, make in makers:
+        counts.update(builds=0)
+        sl = make(states[:, :k])
+        assert counts["builds"] == 2 ** k - 1
+        counts.update(calls=0)
+        sl.cdf(x)
+        assert counts["calls"] == 2 ** k - 1
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.32, 0.95])

@@ -10,7 +10,7 @@ from tailchain.measures import (AsymLogisticMeasure, AsymLogisticParams, Exponen
                                 HuslerReissMeasure, LogisticMeasure)
 from tailchain.mvnorm import mvn_logcdf
 from tailchain.transforms import log_exp_to_frechet
-from tailchain.utils import DomainError, ParameterError
+from tailchain.utils import DomainError, ParameterError, logsumexp
 
 from conftest import FIG1_HR, finite_difference_partial
 
@@ -95,10 +95,10 @@ def test_logistic_partial_unit_point():
 @pytest.mark.parametrize("alpha", [0.05, 0.32, 0.95])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_logistic_tail_evaluators_match_the_generic_path(k, alpha):
-    # the k-term partition sum and the cached value against the base class's
-    # per-subset partials and _PartitionScheme, the oracle; exponential-scale
-    # states from 1e-6 to 200 go through both kernel argument maps
-    # (log-Frechet and -log x), and a few last coordinates are +inf
+    # the k-term partition sum and V against the base class's path (per-subset
+    # partials, _PartitionScheme and the generic value), the oracle;
+    # exponential-scale states from 1e-6 to 200 go through both kernel
+    # argument maps (log-Frechet and -log x), and a few last coordinates are +inf
     m = LogisticMeasure(alpha, k + 1)
     rng = np.random.default_rng(k)
     x = np.exp(rng.uniform(np.log(1e-6), np.log(200.0), size=(30, k + 1)))
@@ -106,12 +106,12 @@ def test_logistic_tail_evaluators_match_the_generic_path(k, alpha):
     logy[::7, k] = np.inf
     head, last = logy[:, :k], logy[:, k]
     rows = np.arange(3, head.shape[0], 4)
-    for name in ("partition_tail_evaluator", "value_tail_evaluator"):
-        fast = getattr(m, name)(head)
-        expected = getattr(ExponentMeasure, name)(m, head)(last)
-        np.testing.assert_allclose(fast(last), expected, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(fast(last[rows], rows=rows), expected[rows],
-                                   rtol=1e-12, atol=1e-12)
+    fast = m.partition_tail_evaluator(head)
+    expected = ExponentMeasure.partition_tail_evaluator(m, head)(last)
+    for got, want in zip(fast(last), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for got, want in zip(fast(last[rows], rows=rows), expected):
+        np.testing.assert_allclose(got, want[rows], rtol=1e-12, atol=1e-12)
 
 
 def test_partials_match_finite_differences():
@@ -218,6 +218,42 @@ def test_hr_value_tail_evaluator_matches_the_value(grade):
         np.testing.assert_allclose(got, want, rtol=rtol)
         rows = np.arange(1, 24, 3)
         assert np.array_equal(ev(logy[rows, -1], rows=rows), got[rows])
+
+
+@pytest.mark.parametrize("grade", ["sampling", "accurate"])
+def test_partition_evaluator_value_is_the_value_evaluator(grade):
+    # the V that slices read from partition_tail_evaluator, built from the
+    # sum's own singleton terms, equals value_tail_evaluator's bit for bit,
+    # for whole batches and row subsets, with some last coordinates +inf
+    rng = np.random.default_rng(11)
+    measures = [HuslerReissMeasure(FIG1_HR[:d, :d]).with_accuracy(**kernels._GRADES[grade])
+                for d in range(2, 7)]
+    for m in measures + [AsymLogisticMeasure(params=FIG2_PARAMS)]:
+        logy = rng.normal(0.0, 1.5, size=(24, m.dim))
+        logy[::5, -1] = np.inf
+        head, last = logy[:, :-1], logy[:, -1]
+        rows = np.arange(1, 24, 3)
+        pair = m.partition_tail_evaluator(head)
+        value = m.value_tail_evaluator(head)
+        assert np.array_equal(pair(last)[1], value(last))
+        assert np.array_equal(pair(last[rows], rows=rows)[1], value(last[rows], rows=rows))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_logistic_partition_evaluator_value(k):
+    # the logistic V is exp(alpha s), with s of the head summed once and the
+    # last coordinate added by logaddexp, bit for bit; the generic value sums
+    # all coordinates at once and differs from it in the last bits
+    a = 0.32
+    m = LogisticMeasure(a, k + 1)
+    logy = np.random.default_rng(k).normal(0.0, 1.5, size=(24, k + 1))
+    logy[::5, -1] = np.inf
+    head, last = logy[:, :-1], logy[:, -1]
+    want = np.exp(a * np.logaddexp(logsumexp(-head / a, axis=1), -last / a))
+    pair = m.partition_tail_evaluator(head)
+    rows = np.arange(1, 24, 3)
+    assert np.array_equal(pair(last)[1], want)
+    assert np.array_equal(pair(last[rows], rows=rows)[1], want[rows])
 
 
 def test_hr_bivariate_two_ways():

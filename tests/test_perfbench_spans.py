@@ -5,6 +5,7 @@ import sys
 import numpy as np
 
 from tailchain import cli  # noqa: F401  (loaded, so that its names are patched too)
+from tailchain.kernels import husler_reiss_model
 from tailchain.measures import HuslerReissMeasure
 
 from conftest import FIG1_HR
@@ -49,6 +50,18 @@ def test_tracer_patches_every_listed_name_and_restores_it():
         metrics = spans.layer_metrics(tracer.spans, 1, 0.0)
         assert metrics["mvnorm.tail_cache_builds"][0] == 2
         assert metrics["measures.partial_calls"][0] == 2
+        # a traced order-3 kernel slice builds one cache per nonempty subset
+        # of its conditioning coordinates, 2^3 - 1, and evaluates each once
+        # for its +inf denominator and once per CDF call
+        first = len(tracer.spans)
+        tracer.active = True
+        sl = husler_reiss_model(FIG1_HR[:4, :4]).kernel_slice(
+            np.array([[1.0, 2.0, 0.5], [3.0, 0.2, 1.5]]), grade="sampling")
+        sl.cdf(np.array([0.7, 2.5]))
+        tracer.active = False
+        metrics = spans.layer_metrics(tracer.spans[first:], 1, 0.0)
+        assert metrics["mvnorm.tail_cache_builds"][0] == 7
+        assert metrics["mvnorm.logcdf_calls"][0] == 14
     finally:
         tracer.uninstall()
     after = _names()
