@@ -1,8 +1,9 @@
 """Command-line surface: configuration, orchestration, bit-stable output.
 
 Every run is fully determined by (config, seed): CSV outputs are
-byte-identical across repeated runs and floats print with 17 significant
-digits.  One registry, `_FAMILIES`, maps each chain family to its
+byte-identical across repeated runs.  Every CSV has one byte format: `%.17g`
+floats, decimal ints, CRLF line ends and no quoting (no field holds a comma,
+quote or line break).  One registry, `_FAMILIES`, maps each chain family to its
 parameter parser, chain builder, tail-chain kind and tail builder; every
 subcommand that builds a model (`simulate-chain`, `simulate-tail-chain`,
 `validate`, `chi`, `fig1`) looks it up there.  Exit codes: 0 success, 2
@@ -10,9 +11,7 @@ configuration or parameter problems, 3 numerical failures (with a
 diagnostic JSON on stderr).
 """
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .recurrence import (HomogeneousFamily, beta_sequence, iterate_alpha,
 from .tail_chain import (GaussianARTailChain, HuslerReissLocationTailChain,
                          InvertedLogisticScaleTailChain, LogisticLocationTailChain,
                          simulate_hidden_tail_chain, simulate_regime_tail_chain)
-from .utils import BracketError, DomainError, NumericalError, ParameterError, format_float
+from .utils import BracketError, DomainError, NumericalError, ParameterError
 
 FIG1_GAUSS_RHO = (0.70, 0.57, 0.47, 0.39, 0.33)
 FIG1_HR_TOEPLITZ = (1.0, 0.9, 0.7, 0.5, 0.3, 0.1)
@@ -37,6 +36,8 @@ FIG1_INVERTED_ALPHA = 0.27
 FIG1_LOGISTIC_ALPHA = 0.32
 FIG2_THETA = (0.3, 0.3, 0.3, 0.3, 0.3, 0.1)
 FIG2_NU = (0.5, 0.5, 0.5)
+# replicates per write of a path CSV; the writer holds one block's text, not the file's
+_BLOCK_ROWS = 128
 # fig1 panel -> registry family and its reference parameters
 _FIG1_PANELS = {"a": ("gaussian", {"rho": FIG1_GAUSS_RHO}),
                 "b": ("inverted-logistic", {"alpha": FIG1_INVERTED_ALPHA, "k": 5}),
@@ -84,40 +85,47 @@ def _floats(value, name):
     return [float(v) for v in value]
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, lines):
+    """The header, then `lines` (formatted rows or blocks of rows) as they are."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def _write_paths_csv(path, ensemble):
-    """One row per path value, streamed row by row of the ensemble; with mode
-    columns (the regime chain) only the finite values, i.e. until termination."""
-    data = ensemble.data
-    modes = ensemble.extras.get("modes")
-    header = ["replicate", "t", "value"]
-    if modes is None:
-        rows = ((r, t, v) for r in range(data.shape[0])
-                for t, v in enumerate(data[r].tolist()))
-    else:
-        header += ["atom_flag", "regime"]
-        atom = ensemble.extras["atom_flag"]
-        rows = ((r, t, v, a, m) for r in range(data.shape[0])
-                for t, (v, a, m) in enumerate(zip(data[r].tolist(), atom[r].tolist(),
-                                                  modes[r].tolist()))
-                if math.isfinite(v))
-    _write_csv(path, header, rows)
+    """One row per path value in replicate-major order, formatted and written
+    `_BLOCK_ROWS` replicates at a time; with mode columns (the regime chain)
+    only the finite values, i.e. until termination."""
+    data, extras = ensemble.data, ensemble.extras
+    # one row template per ensemble width; the replicate is filled in per row
+    template = "".join(f"{{r}},{t},%.17g\r\n" for t in range(data.shape[1]))
+
+    def block(s):
+        rows = slice(s, s + _BLOCK_ROWS)
+        if "modes" not in extras:
+            return "".join([template.replace("{r}", str(r)) % tuple(row)
+                            for r, row in enumerate(data[rows].tolist(), s)])
+        keep = np.isfinite(data[rows])
+        r, t = np.nonzero(keep)
+        return "".join(["%d,%d,%.17g,%d,%d\r\n" % row for row in zip(
+            (r + s).tolist(), t.tolist(), data[rows][keep].tolist(),
+            extras["atom_flag"][rows][keep].tolist(), extras["modes"][rows][keep].tolist())])
+    header = ["replicate", "t", "value"] + (["atom_flag", "regime"] if "modes" in extras else [])
+    _write_csv(path, header, map(block, range(0, data.shape[0], _BLOCK_ROWS)))
 
 
 def _write_bands_csv(path, bands):
     keys = [k for k in bands if k != "t"]
-    header = ["t"] + keys
-    rows = []
-    for i, t in enumerate(bands["t"]):
-        rows.append([int(t)] + [float(bands[k][i]) for k in keys])
-    _write_csv(path, header, rows)
+    template = "%d" + ",%.17g" * len(keys) + "\r\n"
+    _write_csv(path, ["t"] + keys,
+               [template % row for row in zip(bands["t"], *(bands[k] for k in keys))])
+
+
+def _n_rep(cfg, default):
+    n = int(cfg.get("n_rep", default))
+    if n < 1:
+        raise ConfigError(f"n_rep must be a positive integer, got {n}")
+    return n
 
 
 # one parser per model parameter; each returns the builder's arguments
@@ -216,7 +224,7 @@ def _run_solve_recurrence(cfg, out, seed):
         info["max_abs_diff_vs_iteration"] = float(
             np.max(np.abs(seq[:len(check)] - check)))
     _write_csv(os.path.join(out, "recurrence.csv"), ["t", "alpha"],
-               [(int(t), float(v)) for t, v in enumerate(seq)])
+               ["%d,%.17g\r\n" % row for row in enumerate(seq)])
     with open(os.path.join(out, "recurrence.json"), "w") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
     return {"rows": int(T + 1)}
@@ -228,7 +236,7 @@ def _run_beta_seq(cfg, out, seed):
     T = int(cfg.get("horizon", 50))
     seq = beta_sequence(beta, k, T)
     _write_csv(os.path.join(out, "beta_seq.csv"), ["t", "beta_t"],
-               [(int(t), float(v)) for t, v in enumerate(seq)])
+               ["%d,%.17g\r\n" % row for row in enumerate(seq)])
     return {"rows": int(T + 1)}
 
 
@@ -236,7 +244,7 @@ def _run_simulate_chain(cfg, out, seed):
     model = _chain(cfg)
     u = float(cfg.get("u", 9.0))
     T = int(cfg.get("horizon", max(2 * model.k, 10)))
-    n = int(cfg.get("n_rep", 100))
+    n = _n_rep(cfg, 100)
     ens = simulate_conditioned_chain(model, u, T, n, seed)
     _write_paths_csv(os.path.join(out, "chain_paths.csv"), ens)
     return {"model": model.descriptor(), "u": u, "n_rep": n, "horizon": T}
@@ -245,7 +253,7 @@ def _run_simulate_chain(cfg, out, seed):
 def _run_simulate_tail_chain(cfg, out, seed):
     parse, _, _, tail = _FAMILIES[_family(cfg, "kind")]
     T = int(cfg.get("horizon", 50))
-    n = int(cfg.get("n_rep", 10_000))
+    n = _n_rep(cfg, 10_000)
     if tail is None:
         ens = simulate_regime_tail_chain(*parse(cfg), T, n, seed)
     else:
@@ -268,7 +276,7 @@ def _run_validate(cfg, out, seed):
     u_grid = _floats(cfg.get("u_grid", [3.0, 6.0, 9.0]), "u_grid")
     lags = cfg.get("lags")
     lags = tuple(int(v) for v in _floats(lags, "lags")) if lags is not None else None
-    n = int(cfg.get("n_rep", 10_000))
+    n = _n_rep(cfg, 10_000)
     tol = float(cfg.get("tolerance", 0.05))
     rep = convergence_diagnostic(model, tail, u_grid=tuple(u_grid), lags=lags,
                                  n=n, seed=seed, tolerance=tol)
@@ -282,7 +290,7 @@ def _run_chi(cfg, out, seed):
     model = _chain(cfg)
     lags = tuple(int(v) for v in _floats(cfg.get("lags", [1]), "lags"))
     levels = _floats(cfg.get("levels", [0.95]), "levels")
-    n = int(cfg.get("n_rep", 100_000))
+    n = _n_rep(cfg, 100_000)
     results = [chi_estimate(model, lags, lv, n, seed).to_dict()
                for lv in levels]
     with open(os.path.join(out, "chi.json"), "w") as fh:
@@ -294,7 +302,7 @@ def _run_chi(cfg, out, seed):
 def _run_fig1(cfg, out, seed):
     panel = str(cfg.get("panel", "a")).lower()
     T = int(cfg.get("horizon", 50))
-    n = int(cfg.get("n_rep", 10_000))
+    n = _n_rep(cfg, 10_000)
     if panel not in _FIG1_PANELS:
         raise ConfigError("panel must be one of a, b, c, d")
     family, params = _FIG1_PANELS[panel]
@@ -309,14 +317,14 @@ def _run_fig1(cfg, out, seed):
 
 def _run_fig2(cfg, out, seed):
     T = int(cfg.get("horizon", 200))
-    n = int(cfg.get("n_rep", 10_000))
+    n = _n_rep(cfg, 10_000)
     cond = int(cfg.get("condition_tb", 8))
     ens = simulate_regime_tail_chain(*_alog_args(cfg), T, n, seed)
     tb = ens.extras["termination"]
     done = tb[tb > 0]
     values, counts = np.unique(done, return_counts=True)
     _write_csv(os.path.join(out, "fig2_tb_hist.csv"), ["tb", "count"],
-               [(int(v), int(c)) for v, c in zip(values, counts)])
+               ["%d,%d\r\n" % row for row in zip(values, counts)])
     sel = tb == cond
     sub = ens.with_data(ens.data[sel][:, :cond + 1])
     sub.extras["modes"] = ens.extras["modes"][sel][:, :cond + 1]

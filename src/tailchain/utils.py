@@ -65,7 +65,3 @@ def as_batch(x, width):
         raise DomainError(f"expected shape (n, {width}), got {a.shape}")
     return a, False
 
-
-def format_float(x):
-    """Fixed CSV float format: 17 significant digits."""
-    return f"{float(x):.17g}"

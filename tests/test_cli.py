@@ -1,11 +1,13 @@
+import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tailchain import tail_chain
-from tailchain.cli import _write_paths_csv, main, read_config
+from tailchain.cli import _BLOCK_ROWS, _write_paths_csv, main, read_config
 from tailchain.paths import PathEnsemble
 
 
@@ -92,6 +94,73 @@ def test_paths_csv_rows(tmp_path):
     _write_paths_csv(tmp_path / "plain.csv", PathEnsemble(data=data[1:]))
     assert (tmp_path / "plain.csv").read_text().splitlines() == [
         "replicate,t,value", "0,0,0", "0,1,-0.25", "0,2,2"]
+
+
+# doubles whose 17-digit text is easy to get wrong: signed zeros, the
+# smallest subnormal, tiny and huge normals, inexact decimals
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def _reference_paths_csv(path, ensemble):
+    """The path CSV as `csv.writer` writes it, floats as f"{x:.17g}"."""
+    data, extras = ensemble.data, ensemble.extras
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if "modes" not in extras:
+            w.writerow(["replicate", "t", "value"])
+            w.writerows([r, t, f"{v:.17g}"] for r, row in enumerate(data.tolist())
+                        for t, v in enumerate(row))
+            return
+        w.writerow(["replicate", "t", "value", "atom_flag", "regime"])
+        for r, t in zip(*np.nonzero(np.isfinite(data))):
+            w.writerow([int(r), int(t), f"{data[r, t]:.17g}",
+                        int(extras["atom_flag"][r, t]), int(extras["modes"][r, t])])
+
+
+def _awkward_paths(rng, n, width, extra=()):
+    """Half awkward values, half normals over ten decades."""
+    values = np.array(AWKWARD + list(extra))
+    shape = (n, width)
+    return np.where(rng.random(shape) < 0.5, values[rng.integers(values.size, size=shape)],
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=shape))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * _BLOCK_ROWS + 3])
+def test_paths_csv_bytes_match_csv_writer(tmp_path, n):
+    # both layouts against csv.writer, across block boundaries
+    rng = np.random.default_rng(n)
+    plain = PathEnsemble(data=_awkward_paths(rng, n, 6, [np.nan, np.inf, -np.inf]))
+    data = _awkward_paths(rng, n, 6)
+    modes = rng.integers(0, 2, size=data.shape).astype(np.int8)
+    modes[:, 0] = 1
+    # regime terminations (NaN tails) on the rows either side of each block
+    # boundary and at random elsewhere
+    stop = rng.integers(1, 7, size=n)
+    stop[[r for r in range(n) if r % _BLOCK_ROWS in (0, _BLOCK_ROWS - 1)]] = 2
+    for r in range(n):
+        data[r, stop[r]:], modes[r, stop[r]:] = np.nan, -1
+    regime = PathEnsemble(data=data, extras={"modes": modes,
+                                             "atom_flag": (modes == 0).astype(np.int8)})
+    for name, ens in (("plain", plain), ("regime", regime)):
+        _write_paths_csv(tmp_path / f"{name}.csv", ens)
+        _reference_paths_csv(tmp_path / f"{name}_ref.csv", ens)
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + (ens.data.size if name == "plain"
+                                            else int(np.isfinite(ens.data).sum()))
+
+
+def test_paths_csv_memory_stays_within_a_block(tmp_path):
+    # a 5000 x 51 ensemble (7 MB of CSV) is written without building the file
+    ens = PathEnsemble(data=np.random.default_rng(0).standard_normal((5000, 51)))
+    tracemalloc.start()
+    try:
+        _write_paths_csv(tmp_path / "paths.csv", ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_fig1_and_fig2(tmp_path):
@@ -221,3 +290,22 @@ def test_logistic_rw_near_unit_alpha_has_finite_paths(tmp_path):
     lines = (tmp_path / "tail_chain_paths.csv").read_text().splitlines()
     assert len(lines) == 1 + 10_000 * 51
     assert all(np.isfinite(float(line.rsplit(",", 1)[1])) for line in lines[1:])
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-chain", "--family", "gaussian", "--rho", "0.7", "--n-rep", "0"],
+    ["simulate-tail-chain", "--kind", "logistic-rw", "--n-rep", "0"],
+    ["simulate-tail-chain", "--kind", "regime-switching", "--n-rep", "-1"],
+    ["validate", "--family", "gaussian", "--rho", "0.7", "--u-grid", "3", "--lags", "1",
+     "--n-rep", "0"],
+    ["chi", "--family", "gaussian", "--rho", "0.7", "--n-rep", "-2"],
+    ["fig1", "--panel", "a", "--n-rep", "-5"],
+    ["fig2", "--n-rep", "0"],
+])
+def test_non_positive_n_rep_is_a_config_error(tmp_path, capsys, args):
+    code = _run(["--out", str(tmp_path), *args, "--horizon", "5"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "n_rep" in err["message"]
+    assert os.listdir(tmp_path) == []
